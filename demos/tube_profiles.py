@@ -35,10 +35,10 @@ for space, focal in (("S:5", "point"), ("S:5", "sub:S:2"),
 # verify by a centered difference at a midpoint
 prof = tube_profile(parse_space("HP:2"), parse_focal("point"))
 r, h = 0.4 * prof.mu, 1e-6
-for b, alpha in zip(prof.branches, prof.alphas):
-    da = (float(alpha(r + h)) - float(alpha(r - h))) / (2 * h)
+alpha = prof.alpha_values  # one row per branch
+for b, a, da in zip(prof.branches, alpha(r), (alpha(r + h) - alpha(r - h)) / (2 * h)):
     print(f"curvature-equation residual (kappa={b.kappa:g}): "
-          f"{da + float(alpha(r))**2 + b.kappa:+.3e}")
+          f"{float(da) + float(a)**2 + b.kappa:+.3e}")
 
 # the log-derivative of theta is the sum of the alphas, multiplicity counted
 dth = (prof.theta(r + h) - prof.theta(r - h)) / (2 * h)

@@ -21,11 +21,7 @@ Layout:
 """
 from .bending import (
     BendingResult,
-    ComplexRadial,
     EnergyResult,
-    EpsilonDeformation,
-    RadialOrTubular,
-    TorusIsoparametric,
     TorusResult,
     complex_radial_bending,
     energy,
@@ -55,9 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BendingResult",
     "BoundCase",
-    "ComplexRadial",
     "EnergyResult",
-    "EpsilonDeformation",
     "Family",
     "FocalVariety",
     "IntegralCheckResult",
@@ -67,11 +61,9 @@ __all__ = [
     "ModelSpace",
     "NotComputableError",
     "QuadratureConfig",
-    "RadialOrTubular",
     "SplitDims",
     "Table1Report",
     "TorsionCoefficients",
-    "TorusIsoparametric",
     "TorusResult",
     "TubeProfile",
     "UndecidedError",

@@ -9,8 +9,9 @@ of multiplicity m_a and density theta,
 
 with the same (usually symbolic) constant c in both, so the ratio B/Vol is
 always well defined; absolute values are reported only where the catalog
-pins c (geodesic spheres around points of S^m and RP^m).  The energy of
-the orthogonal unit vector field is E = (n/2) Vol + B.
+pins c (geodesic spheres around points of S^m and RP^m, as long as c is a
+normal float).  The energy of the orthogonal unit vector field is
+E = (n/2) Vol + B.
 
 Divergence of the bending integral at either end of (0, mu) is detected by
 the open-interval quadrature and reported as a verdict with the fitted
@@ -19,27 +20,24 @@ power-law exponent instead of a number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .quadrature import (
     OpenResult,
     QuadratureConfig,
+    UndecidedError,
     adaptive_quadrature,
     integrate_open,
 )
 from .spaces import Family, FocalVariety, ModelSpace
-from .tubes import InitKind, JacobiBranch, TubeProfile, tube_profile
+from .tubes import InitKind, JacobiBranch, TubeProfile, jacobi_solution, tube_profile
 
 __all__ = [
     "DEFAULT_QUADRATURE",
-    "RadialOrTubular",
-    "ComplexRadial",
-    "TorusIsoparametric",
-    "EpsilonDeformation",
-    "Foliation",
     "BendingResult",
     "TorusResult",
     "EnergyResult",
@@ -53,63 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-@dataclass(frozen=True)
-class RadialOrTubular:
-    """Leaves are distance spheres/tubes around the focal variety."""
-
-    space: ModelSpace
-    focal: FocalVariety
-
-
-@dataclass(frozen=True)
-class ComplexRadial:
-    """The complex-surface foliation spanned by the radial field and its
-    invariant-structure image on CP^m."""
-
-    m: int
-    lam: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ValueError("the complex radial foliation needs m >= 2")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("the curvature scale must be positive")
-
-
-@dataclass(frozen=True)
-class TorusIsoparametric:
-    """Circles of the angular coordinate on the torus of revolution with
-    radii big_radius > small_radius > 0 in flat 3-space."""
-
-    big_radius: float
-    small_radius: float
-
-    def __post_init__(self) -> None:
-        ok = (
-            math.isfinite(self.big_radius)
-            and math.isfinite(self.small_radius)
-            and 0 < self.small_radius < self.big_radius
-        )
-        if not ok:
-            raise ValueError("torus radii must satisfy 0 < small_radius < big_radius")
-
-
-@dataclass(frozen=True)
-class EpsilonDeformation:
-    """Radial/tubular base flattened outside a window of half-width
-    epsilon (in normalized angle) around the middle leaf."""
-
-    base: RadialOrTubular
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.epsilon <= math.pi / 2.0):
-            raise ValueError("epsilon must lie in [0, pi/2]")
-
-
-Foliation = Union[RadialOrTubular, ComplexRadial, TorusIsoparametric, EpsilonDeformation]
 
 
 @dataclass(frozen=True)
@@ -164,26 +105,52 @@ def _divergent_endpoint(open_result: OpenResult) -> str:
     return "0" if open_result.divergent_lower else "mu"
 
 
-def _finite_from_profile(
-    profile: TubeProfile,
-    numerator: OpenResult,
+def _per_volume(
+    prof: TubeProfile,
+    density: Callable,
     quad: QuadratureConfig,
+    window: Optional[tuple[float, float]] = None,
 ) -> BendingResult:
-    vol, vol_err = adaptive_quadrature(profile.theta, 0.0, profile.mu, quad)
-    ratio = numerator.value / vol
-    err = (numerator.error + abs(ratio) * vol_err) / vol
+    """Integral of ``density`` per unit volume of the profile, with its error.
+
+    The density is integrated over the open interval (0, mu), which can
+    return a divergence verdict instead, or over the closed ``window``
+    inside it.  This is the only place that divides by the volume; a
+    volume that is not a positive normal float (the curvature scale is
+    too extreme for it) raises UndecidedError.
+    """
+    if window is None:
+        res = integrate_open(density, 0.0, prof.mu, quad)
+        if res.status == "divergent":
+            return BendingResult(
+                status="divergent",
+                divergent_endpoint=_divergent_endpoint(res),
+                exponent_estimate=res.exponent_estimate,
+                mu=prof.mu,
+                branches=prof.branches,
+            )
+        val, err = res.value, res.error
+    else:
+        val, err = adaptive_quadrature(density, window[0], window[1], quad)
+    vol, vol_err = adaptive_quadrature(prof.theta, 0.0, prof.mu, quad)
+    if not (math.isfinite(vol) and vol >= sys.float_info.min):
+        raise UndecidedError(
+            f"the volume integral {vol!r} of {prof.space.label} / {prof.focal.label} "
+            "is not a positive normal float at this curvature scale"
+        )
+    ratio = val / vol
     absolute = volume = None
-    if profile.area_constant is not None:
-        absolute = profile.area_constant * numerator.value
-        volume = profile.area_constant * vol
+    if prof.area_constant is not None:
+        absolute = prof.area_constant * val
+        volume = prof.area_constant * vol
     return BendingResult(
         status="finite",
         value_per_volume=ratio,
-        error_estimate=err,
+        error_estimate=(err + abs(ratio) * vol_err) / vol,
         value=absolute,
         volume=volume,
-        mu=profile.mu,
-        branches=profile.branches,
+        mu=prof.mu,
+        branches=prof.branches,
     )
 
 
@@ -191,26 +158,10 @@ def total_bending(
     space: ModelSpace,
     focal: FocalVariety,
     quad: Optional[QuadratureConfig] = None,
-    *,
-    profile: Optional[TubeProfile] = None,
 ) -> BendingResult:
-    """Total bending per unit volume of the radial/tubular foliation.
-
-    A precomputed ``profile`` may be passed to reuse branch data (it must
-    belong to the same pair); this also lets tests permute branch order.
-    """
-    quad = quad or DEFAULT_QUADRATURE
-    prof = profile if profile is not None else tube_profile(space, focal)
-    res = integrate_open(prof.bending_density, 0.0, prof.mu, quad)
-    if res.status == "divergent":
-        return BendingResult(
-            status="divergent",
-            divergent_endpoint=_divergent_endpoint(res),
-            exponent_estimate=res.exponent_estimate,
-            mu=prof.mu,
-            branches=prof.branches,
-        )
-    return _finite_from_profile(prof, res, quad)
+    """Total bending per unit volume of the radial/tubular foliation."""
+    prof = tube_profile(space, focal)
+    return _per_volume(prof, prof.bending_density, quad or DEFAULT_QUADRATURE)
 
 
 def epsilon_deformed_bending(
@@ -229,7 +180,6 @@ def epsilon_deformed_bending(
     """
     if not (0.0 <= epsilon <= math.pi / 2.0):
         raise ValueError("epsilon must lie in [0, pi/2]")
-    quad = quad or DEFAULT_QUADRATURE
     prof = tube_profile(space, focal)
     if epsilon == 0.0:
         zero_abs = 0.0 if prof.area_constant is not None else None
@@ -237,26 +187,21 @@ def epsilon_deformed_bending(
             status="finite", value_per_volume=0.0, error_estimate=0.0,
             value=zero_abs, mu=prof.mu, branches=prof.branches,
         )
-    if epsilon >= math.pi / 2.0:
-        return total_bending(space, focal, quad, profile=prof)
-    lo = prof.mu * (math.pi - 2.0 * epsilon) / (2.0 * math.pi)
-    hi = prof.mu * (math.pi + 2.0 * epsilon) / (2.0 * math.pi)
-    val, err = adaptive_quadrature(prof.bending_density, lo, hi, quad)
-    vol, vol_err = adaptive_quadrature(prof.theta, 0.0, prof.mu, quad)
-    ratio = val / vol
-    absolute = volume = None
-    if prof.area_constant is not None:
-        absolute = prof.area_constant * val
-        volume = prof.area_constant * vol
-    return BendingResult(
-        status="finite",
-        value_per_volume=ratio,
-        error_estimate=(err + abs(ratio) * vol_err) / vol,
-        value=absolute,
-        volume=volume,
-        mu=prof.mu,
-        branches=prof.branches,
+    window = None
+    if epsilon < math.pi / 2.0:
+        window = (prof.mu * (math.pi - 2.0 * epsilon) / (2.0 * math.pi),
+                  prof.mu * (math.pi + 2.0 * epsilon) / (2.0 * math.pi))
+    return _per_volume(prof, prof.bending_density, quad or DEFAULT_QUADRATURE, window)
+
+
+def _check_torus_radii(big_radius: float, small_radius: float) -> None:
+    ok = (
+        math.isfinite(big_radius)
+        and math.isfinite(small_radius)
+        and 0 < small_radius < big_radius
     )
+    if not ok:
+        raise ValueError("torus radii must satisfy 0 < small_radius < big_radius")
 
 
 def torus_bending(
@@ -274,9 +219,9 @@ def torus_bending(
     ``area_weighted`` switches to the variant with the surface area element
     r*(R + r cos t) dt dphi in the integrand.
     """
-    foliation = TorusIsoparametric(big_radius, small_radius)  # validates radii
+    _check_torus_radii(big_radius, small_radius)
     quad = quad or DEFAULT_QUADRATURE
-    R, r = foliation.big_radius, foliation.small_radius
+    R, r = big_radius, small_radius
 
     def integrand(t):
         base = np.sin(t) ** 2 / (R + r * np.cos(t)) ** 2
@@ -301,10 +246,10 @@ def torus_riemann_oracle(
     area_weighted: bool = False,
 ) -> float:
     """Brute-force midpoint Riemann sum for the torus bending integral."""
-    foliation = TorusIsoparametric(big_radius, small_radius)
+    _check_torus_radii(big_radius, small_radius)
     if nodes < 100:
         raise ValueError("need at least 100 nodes")
-    R, r = foliation.big_radius, foliation.small_radius
+    R, r = big_radius, small_radius
     t = (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
     values = np.sin(t) ** 2 / (R + r * np.cos(t)) ** 2
     if area_weighted:
@@ -322,14 +267,12 @@ def complex_radial_density(m: int, lam: float = 1.0):
     the squared torsion (once along the radial direction, once along its
     invariant-structure image), so the density is (2m-2)*alpha(r)^2.
     """
-    foliation = ComplexRadial(m, lam)
-    root = math.sqrt(foliation.lam)
-
-    def density(r):
-        alpha = root / np.tan(root * np.asarray(r, dtype=float))
-        return (2 * foliation.m - 2) * alpha**2
-
-    return density
+    if not isinstance(m, int) or m < 2:
+        raise ValueError("the complex radial foliation needs m >= 2")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("the curvature scale must be positive")
+    _, alpha = jacobi_solution(lam, InitKind.NORMAL)
+    return lambda r: (2 * m - 2) * alpha(r) ** 2
 
 
 def complex_radial_bending(
@@ -340,64 +283,22 @@ def complex_radial_bending(
     The leaves are totally geodesic invariant surfaces, so only the
     horizontal shear enters; the integral is finite for every m >= 2.
     """
-    foliation = ComplexRadial(m, lam)
-    quad = quad or DEFAULT_QUADRATURE
-    space = ModelSpace(Family.COMPLEX_PROJECTIVE, foliation.m, foliation.lam)
-    prof = tube_profile(space, FocalVariety.point())
-    density = complex_radial_density(foliation.m, foliation.lam)
-    res = integrate_open(lambda r: density(r) * prof.theta(r), 0.0, prof.mu, quad)
-    if res.status == "divergent":  # not reachable for m >= 2; keep the verdict honest
-        return BendingResult(
-            status="divergent",
-            divergent_endpoint=_divergent_endpoint(res),
-            exponent_estimate=res.exponent_estimate,
-            mu=prof.mu,
-            branches=prof.branches,
-        )
-    vol, vol_err = adaptive_quadrature(prof.theta, 0.0, prof.mu, quad)
-    ratio = res.value / vol
-    return BendingResult(
-        status="finite",
-        value_per_volume=ratio,
-        error_estimate=(res.error + abs(ratio) * vol_err) / vol,
-        mu=prof.mu,
-        branches=prof.branches,
-    )
+    density = complex_radial_density(m, lam)  # validates m and lam
+    prof = tube_profile(ModelSpace(Family.COMPLEX_PROJECTIVE, m, lam), FocalVariety.point())
+    return _per_volume(prof, lambda r: density(r) * prof.theta(r), quad or DEFAULT_QUADRATURE)
 
 
-def _ambient_dim(foliation: Foliation) -> int:
-    if isinstance(foliation, RadialOrTubular):
-        return foliation.space.dim
-    if isinstance(foliation, ComplexRadial):
-        return 2 * foliation.m
-    if isinstance(foliation, EpsilonDeformation):
-        return foliation.base.space.dim
-    raise TypeError(f"no ambient dimension for {type(foliation).__name__}")
-
-
-def energy(foliation: Foliation, quad: Optional[QuadratureConfig] = None) -> EnergyResult:
-    """Energy of the orthogonal unit field: E = (n/2) Vol + B.
+def energy(bending: BendingResult, n: int) -> EnergyResult:
+    """Energy of the orthogonal unit field, E = (n/2) Vol + B, from the
+    bending result of a foliation of an n-dimensional space.
 
     Per unit volume this is n/2 + B/Vol; the absolute value is filled in
     whenever the bending result carries an absolute volume.  The torus
-    variant is not supported here because its quoted bending integral is
-    not volume-normalized.
+    variant is not supported because its quoted bending integral is not
+    volume-normalized.
     """
-    quad = quad or DEFAULT_QUADRATURE
-    if isinstance(foliation, TorusIsoparametric):
-        raise TypeError("energy is defined for the volume-normalized foliation variants")
-    if isinstance(foliation, RadialOrTubular):
-        bending = total_bending(foliation.space, foliation.focal, quad)
-    elif isinstance(foliation, ComplexRadial):
-        bending = complex_radial_bending(foliation.m, foliation.lam, quad)
-    elif isinstance(foliation, EpsilonDeformation):
-        bending = epsilon_deformed_bending(
-            foliation.base.space, foliation.base.focal, foliation.epsilon, quad
-        )
-    else:
-        raise TypeError(f"unknown foliation variant {type(foliation).__name__}")
-
-    n = _ambient_dim(foliation)
+    if not isinstance(bending, BendingResult):
+        raise TypeError("energy is defined for the volume-normalized bending results")
     if not bending.is_finite:
         return EnergyResult("divergent", None, None, bending)
     per_volume = n / 2.0 + bending.value_per_volume

@@ -29,8 +29,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bending import BendingResult, total_bending
-from .quadrature import QuadratureConfig, adaptive_quadrature, integrate_open
+from .bending import BendingResult, _per_volume, total_bending
+from .quadrature import QuadratureConfig, integrate_open
 from .spaces import (
     FocalVariety,
     ModelSpace,
@@ -155,18 +155,13 @@ def integral_formula_check(
     quad = quad or QuadratureConfig()
     prof = tube_profile(space, focal)
     lhs = ricci_curvature(space)
-    bending = total_bending(space, focal, quad, profile=prof)
-    status = "applicable" if bending.is_finite else "not-applicable"
+    bending = integrate_open(prof.bending_density, 0.0, prof.mu, quad)
+    status = "applicable" if bending.status == "finite" else "not-applicable"
 
-    res = integrate_open(
-        lambda r: 2.0 * prof.second_mean_curvature(r) * prof.theta(r),
-        0.0, prof.mu, quad,
-    )
-    rhs = gap = None
-    if res.status == "finite":
-        vol, _ = adaptive_quadrature(prof.theta, 0.0, prof.mu, quad)
-        rhs = res.value / vol
-        gap = abs(lhs - rhs) / abs(lhs)
+    rhs = _per_volume(
+        prof, lambda r: 2.0 * prof.second_mean_curvature(r) * prof.theta(r), quad
+    ).value_per_volume
+    gap = None if rhs is None else abs(lhs - rhs) / abs(lhs)
     return IntegralCheckResult(
         space=space.label, focal=focal.label,
         status=status, lhs=lhs, rhs=rhs, relative_gap=gap,

@@ -7,7 +7,8 @@ shortest round-trip form, so dumps(loads(text)) reproduces the bytes).
 Exit codes: 0 for an answered computation (divergence and catalog
 verdicts included), 1 when the reference table fails to reproduce or a
 self check fails, 2 for usage errors, 3 when the quadrature cannot decide
-at the requested tolerance.
+at the requested tolerance or the volume integral underflows at an extreme
+curvature scale.
 """
 from __future__ import annotations
 

@@ -11,15 +11,22 @@ Two entry points:
 
 ``integrate_open``
     Integrates over an open interval whose endpoints may carry power-law
-    singularities.  Each endpoint gets a geometric ladder of panels
-    (widths shrinking by ``endpoint_shrink`` toward the endpoint) inside a
-    window of relative size ``divergence_window``.  If the integrand
-    behaves like C * d**(-s) at distance d from the endpoint, consecutive
-    panel sums have ratio shrink**(1-s); fitting that ratio gives an
-    exponent estimate, and s >= 1 means the integral diverges there.  The
-    fit is what decides divergence -- never exhaustion of the refinement
-    depth.  For convergent endpoints, the ladder is summed and the
-    remaining sliver is extrapolated geometrically.
+    singularities.  Each endpoint gets a geometric ladder of at most
+    ``ENDPOINT_LEVELS`` panels (widths shrinking by ``ENDPOINT_SHRINK``
+    toward the endpoint) inside a window of relative size
+    ``DIVERGENCE_WINDOW``.  If the integrand behaves like C * d**(-s) at
+    distance d from the endpoint, consecutive panel sums have ratio
+    shrink**(1-s); fitting that ratio on the levels
+    ``EXPONENT_FIT_START``..``EXPONENT_FIT_STOP`` gives an exponent
+    estimate.  s >= 1 means the integral diverges there; an estimate at or
+    above ``DIVERGENCE_THRESHOLD`` is reported so.  The fit is what decides
+    divergence -- never exhaustion of the refinement depth.  For convergent
+    endpoints, the ladder is summed and the remaining sliver is
+    extrapolated geometrically.
+
+Only the tolerances are settable (``QuadratureConfig``); the refinement
+budget of ``adaptive_quadrature`` (``MAX_DEPTH`` bisections of a panel,
+``MAX_PANELS`` panels) and the endpoint policy above are module constants.
 
 All reductions happen in a fixed order (panels sorted by position, summed
 with math.fsum), so results do not depend on evaluation order.
@@ -83,47 +90,39 @@ _GAUSS_W[7] = _WG[3]
 
 
 class UndecidedError(RuntimeError):
-    """Raised when quadrature can neither converge nor classify a divergence."""
+    """Raised when quadrature can neither converge nor classify a divergence,
+    or when a volume integral underflows so that no ratio can be formed."""
+
+
+# Refinement budget of adaptive_quadrature.
+MAX_DEPTH = 40
+MAX_PANELS = 4096
+# Endpoint policy: a window of this fraction of the interval at each end
+# is covered by panels shrinking geometrically toward the endpoint.
+DIVERGENCE_WINDOW = 1e-2
+ENDPOINT_SHRINK = 0.5
+ENDPOINT_LEVELS = 48
+# Panel-sum ratios are fitted on this band of ladder levels; outside it
+# the asymptotics have not set in yet (low k) or floating-point
+# cancellation in the node positions pollutes the samples (high k).
+EXPONENT_FIT_START = 12
+EXPONENT_FIT_STOP = 28
+# Fitted exponent at or above this value is reported as divergent.
+DIVERGENCE_THRESHOLD = 0.95
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and refinement policy for the bending integrals."""
+    """Tolerances for the bending integrals."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_depth: int = 40
-    max_panels: int = 4096
-    # Endpoint policy: a window of this fraction of the interval at each end
-    # is covered by panels shrinking geometrically toward the endpoint.
-    divergence_window: float = 1e-2
-    endpoint_shrink: float = 0.5
-    endpoint_levels: int = 48
-    # Panel-sum ratios are fitted on this band of ladder levels; outside it
-    # the asymptotics have not set in yet (low k) or floating-point
-    # cancellation in the node positions pollutes the samples (high k).
-    exponent_fit_start: int = 12
-    exponent_fit_stop: int = 28
-    # Fitted exponent at or above this value is reported as divergent.
-    divergence_threshold: float = 0.95
 
     def __post_init__(self) -> None:
         if not (0 < self.rel_tol < 1):
             raise ValueError("rel_tol must lie in (0, 1)")
         if not (0 < self.abs_tol < 1):
             raise ValueError("abs_tol must lie in (0, 1)")
-        if self.max_depth < 2:
-            raise ValueError("max_depth must be at least 2")
-        if self.max_panels < 4:
-            raise ValueError("max_panels must be at least 4")
-        if not (0 < self.divergence_window <= 0.25):
-            raise ValueError("divergence_window must lie in (0, 0.25]")
-        if not (0 < self.endpoint_shrink < 1):
-            raise ValueError("endpoint_shrink must lie in (0, 1)")
-        if self.endpoint_levels < 8:
-            raise ValueError("endpoint_levels must be at least 8")
-        if not (0 <= self.exponent_fit_start < self.exponent_fit_stop):
-            raise ValueError("exponent fit band is empty")
 
 
 def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
@@ -146,26 +145,22 @@ def adaptive_quadrature(
     a: float,
     b: float,
     config: Optional[QuadratureConfig] = None,
-    *,
-    rel_tol: Optional[float] = None,
-    abs_tol: Optional[float] = None,
 ) -> tuple[float, float]:
     """Integrate f over [a, b], returning (value, error estimate).
 
     Globally adaptive: the panel with the worst error estimate is bisected
     until the summed estimates meet max(abs_tol, rel_tol*|value|).  Raises
     UndecidedError if the tolerance is unreachable within the width floor
-    2**-max_depth and the panel budget.
+    2**-MAX_DEPTH and the panel budget MAX_PANELS.
     """
     config = config or QuadratureConfig()
-    rel = config.rel_tol if rel_tol is None else rel_tol
-    absol = config.abs_tol if abs_tol is None else abs_tol
+    rel, absol = config.rel_tol, config.abs_tol
     if not (b > a):
         if b == a:
             return 0.0, 0.0
         raise ValueError("integration bounds must satisfy a <= b")
 
-    width_floor = (b - a) * 2.0 ** (-config.max_depth)
+    width_floor = (b - a) * 2.0 ** (-MAX_DEPTH)
     val, err = _gk15(f, a, b)
     # Heap entries: (-error, tiebreak, left, right, value).
     heap = [(-err, 0, a, b, val)]
@@ -177,7 +172,7 @@ def adaptive_quadrature(
     while total_err > max(absol, rel * abs(total_val), 32.0 * _EPS * sum_abs):
         neg_err, _, pa, pb, pval = heapq.heappop(heap)
         perr = -neg_err
-        if pb - pa <= width_floor or len(heap) + 2 > config.max_panels:
+        if pb - pa <= width_floor or len(heap) + 2 > MAX_PANELS:
             raise UndecidedError(
                 "quadrature did not converge within the refinement budget "
                 f"(residual error {total_err:.3e} on [{a}, {b}])"
@@ -209,18 +204,16 @@ class EndpointScan:
     levels: int
 
 
-def _endpoint_scan(
-    f: Callable, start: float, direction: int, window: float, config: QuadratureConfig
-) -> EndpointScan:
+def _endpoint_scan(f: Callable, start: float, direction: int, window: float) -> EndpointScan:
     """Ladder of geometrically shrinking panels approaching ``start``.
 
     direction +1 scans (start, start+window]; -1 scans [start-window, start).
     """
-    shrink = config.endpoint_shrink
+    shrink = ENDPOINT_SHRINK
     sums: list[float] = []
     errs: list[float] = []
     scale = max(abs(start), abs(start + direction * window), 1.0)
-    for k in range(config.endpoint_levels):
+    for k in range(ENDPOINT_LEVELS):
         outer = window * shrink**k
         inner = window * shrink ** (k + 1)
         if direction > 0:
@@ -238,8 +231,8 @@ def _endpoint_scan(
     if peak == 0.0:
         return EndpointScan(0.0, 0.0, None, False, levels)
 
-    lo = config.exponent_fit_start
-    hi = min(config.exponent_fit_stop, levels - 1)
+    lo = EXPONENT_FIT_START
+    hi = min(EXPONENT_FIT_STOP, levels - 1)
     log_ratios = []
     for k in range(lo, hi):
         s0, s1 = abs(sums[k]), abs(sums[k + 1])
@@ -251,7 +244,7 @@ def _endpoint_scan(
     else:
         exponent = None
 
-    divergent = exponent is not None and exponent >= config.divergence_threshold
+    divergent = exponent is not None and exponent >= DIVERGENCE_THRESHOLD
     if divergent:
         return EndpointScan(math.fsum(sums), math.fsum(errs), exponent, True, levels)
 
@@ -303,9 +296,9 @@ def integrate_open(
     config = config or QuadratureConfig()
     if not (b > a):
         raise ValueError("integration bounds must satisfy a < b")
-    window = config.divergence_window * (b - a)
-    lower = _endpoint_scan(f, a, +1, window, config)
-    upper = _endpoint_scan(f, b, -1, window, config)
+    window = DIVERGENCE_WINDOW * (b - a)
+    lower = _endpoint_scan(f, a, +1, window)
+    upper = _endpoint_scan(f, b, -1, window)
     if lower.divergent or upper.divergent:
         return OpenResult("divergent", None, None, lower, upper)
     central_val, central_err = adaptive_quadrature(f, a + window, b - window, config)

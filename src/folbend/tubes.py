@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +69,18 @@ class NotComputableError(ValueError):
     spectral information this catalog quotes."""
 
 
+# Closed-form solutions of f'' + root**2 * f = 0 (root > 0) at x = root*r,
+# broadcast over branches: NORMAL rows (``normal`` true) have f = sin(x)/root
+# and alpha = f'/f = root*cot(x); TANGENT rows f = cos(x), alpha = -root*tan(x).
+def _branch_f(root, normal, x):
+    return np.where(normal, np.sin(x) / root, np.cos(x))
+
+
+def _branch_alpha(root, normal, x):
+    tan = np.tan(x)
+    return np.where(normal, root / tan, -root * tan)
+
+
 def jacobi_solution(kappa: float, init: InitKind) -> tuple[Callable, Callable]:
     """Closed-form (f, alpha) for f'' + kappa*f = 0 with the given initial data.
 
@@ -75,20 +89,18 @@ def jacobi_solution(kappa: float, init: InitKind) -> tuple[Callable, Callable]:
     """
     if not (math.isfinite(kappa) and kappa >= 0):
         raise ValueError("kappa must be finite and nonnegative")
-    s = math.sqrt(kappa)
-    if init is InitKind.NORMAL:
-        if kappa == 0.0:
+    if not isinstance(init, InitKind):
+        raise ValueError(f"unknown initial condition {init!r}")
+    normal = init is InitKind.NORMAL
+    if kappa == 0.0:
+        if normal:
             return (lambda r: np.asarray(r, dtype=float) + 0.0,
                     lambda r: 1.0 / np.asarray(r, dtype=float))
-        return (lambda r: np.sin(s * np.asarray(r, dtype=float)) / s,
-                lambda r: s / np.tan(s * np.asarray(r, dtype=float)))
-    if init is InitKind.TANGENT:
-        if kappa == 0.0:
-            return (lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                    lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-        return (lambda r: np.cos(s * np.asarray(r, dtype=float)),
-                lambda r: -s * np.tan(s * np.asarray(r, dtype=float)))
-    raise ValueError(f"unknown initial condition {init!r}")
+        return (lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                lambda r: np.zeros_like(np.asarray(r, dtype=float)))
+    s = math.sqrt(kappa)
+    return (lambda r: _branch_f(s, normal, s * np.asarray(r, dtype=float)),
+            lambda r: _branch_alpha(s, normal, s * np.asarray(r, dtype=float)))
 
 
 def jacobi_ode_oracle(kappa: float, init: InitKind, r: float, steps: int = 1024) -> float:
@@ -119,16 +131,12 @@ def jacobi_ode_oracle(kappa: float, init: InitKind, r: float, steps: int = 1024)
     return y
 
 
-def _first_zero(kappa: float, init: InitKind) -> float:
-    if kappa == 0.0:
-        return math.inf
-    s = math.sqrt(kappa)
-    return math.pi / s if init is InitKind.NORMAL else math.pi / (2.0 * s)
-
-
-def _unit_sphere_area(n: int) -> float:
-    # Surface area of the unit (n-1)-sphere in R^n.
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+def _unit_sphere_area(n: int) -> Optional[float]:
+    # Surface area of the unit (n-1)-sphere in R^n, computed in log space
+    # because gamma(n/2) overflows for n >= 350; None once the area is no
+    # longer a normal float.
+    area = math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
+    return area if area >= sys.float_info.min else None
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,8 @@ class TubeProfile:
     ``theta(mu)`` vanishes except in the one cataloged case where the
     boundary leaf is a regular smooth leaf rather than a focal set (the
     antipodal cross-section of RP^m around a point); that case is marked by
-    ``boundary_leaf_regular``.
+    ``boundary_leaf_regular``.  Every branch needs kappa > 0; all branches
+    are evaluated together as arrays derived from ``branches``.
     """
 
     space: ModelSpace
@@ -147,79 +156,83 @@ class TubeProfile:
     mu: float
     area_constant: Optional[float]
     boundary_leaf_regular: bool
-    fs: tuple[Callable, ...]
-    alphas: tuple[Callable, ...]
+    # One row per branch, as columns that broadcast against the radii.
+    _root: np.ndarray = field(init=False, repr=False, compare=False)
+    _normal: np.ndarray = field(init=False, repr=False, compare=False)
+    _mult: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if any(b.kappa == 0.0 for b in self.branches):
+            raise ValueError("tube profile branches need positive curvature")
+        column = (len(self.branches), 1)
+        for name, values in (
+            ("_root", [math.sqrt(b.kappa) for b in self.branches]),
+            ("_normal", [b.init is InitKind.NORMAL for b in self.branches]),
+            ("_mult", [float(b.multiplicity) for b in self.branches]),
+        ):
+            object.__setattr__(self, name, np.reshape(values, column))
+
+    def _x(self, r) -> tuple[tuple, np.ndarray]:
+        """Shape of r, and sqrt(kappa)*r per branch at the flattened radii."""
+        r = np.asarray(r, dtype=float)
+        return r.shape, self._root * r.reshape(-1)
+
+    # Row by row in branch order: cheaper than a numpy axis reduction over so
+    # few rows, and rounded exactly like a loop over the branches.
+    def _theta(self, x):
+        return reduce(np.multiply, _branch_f(self._root, self._normal, x) ** self._mult)
+
+    def _sums(self, x, power):
+        return reduce(np.add, self._mult * _branch_alpha(self._root, self._normal, x) ** power)
 
     def theta(self, r):
         """Volume density (up to the constant factor) at tube radius r."""
-        r = np.asarray(r, dtype=float)
-        out = np.ones_like(r)
-        for f, branch in zip(self.fs, self.branches):
-            out = out * f(r) ** branch.multiplicity
-        return out
+        shape, x = self._x(r)
+        return self._theta(x).reshape(shape)
 
-    def alpha_values(self, r) -> list:
-        """Per-branch principal curvature values at tube radius r."""
-        return [alpha(r) for alpha in self.alphas]
+    def alpha_values(self, r) -> np.ndarray:
+        """Per-branch principal curvature values at tube radius r (one row each)."""
+        shape, x = self._x(r)
+        return _branch_alpha(self._root, self._normal, x).reshape((len(self.branches),) + shape)
 
     def sum_alpha(self, r):
         """Multiplicity-weighted sum of principal curvatures (mean curvature)."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for alpha, branch in zip(self.alphas, self.branches):
-            out = out + branch.multiplicity * alpha(r)
-        return out
+        shape, x = self._x(r)
+        return self._sums(x, 1).reshape(shape)
 
     def sum_alpha_sq(self, r):
         """Multiplicity-weighted sum of squared principal curvatures."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for alpha, branch in zip(self.alphas, self.branches):
-            out = out + branch.multiplicity * alpha(r) ** 2
-        return out
+        shape, x = self._x(r)
+        return self._sums(x, 2).reshape(shape)
 
     def bending_density(self, r):
         """Integrand of the total bending against dr: 0.5 * sum m*alpha^2 * theta."""
-        return 0.5 * self.sum_alpha_sq(r) * self.theta(r)
+        shape, x = self._x(r)
+        return (0.5 * self._sums(x, 2) * self._theta(x)).reshape(shape)
 
     def second_mean_curvature(self, r):
         """Sum of pairwise products of principal curvatures (with multiplicity)."""
-        return 0.5 * (self.sum_alpha(r) ** 2 - self.sum_alpha_sq(r))
+        shape, x = self._x(r)
+        return (0.5 * (self._sums(x, 1) ** 2 - self._sums(x, 2))).reshape(shape)
 
     def reordered(self, permutation) -> "TubeProfile":
         """Same profile with branches listed in a different order."""
         idx = list(permutation)
         if sorted(idx) != list(range(len(self.branches))):
             raise ValueError("permutation must reindex the branches exactly")
-        return replace(
-            self,
-            branches=tuple(self.branches[i] for i in idx),
-            fs=tuple(self.fs[i] for i in idx),
-            alphas=tuple(self.alphas[i] for i in idx),
-        )
+        return replace(self, branches=tuple(self.branches[i] for i in idx))
 
     def samples(self, count: int = 200) -> np.ndarray:
         """Interior sample table: columns r, alpha per branch, theta."""
         if count < 2:
             raise ValueError("need at least two sample points")
         r = np.linspace(0.0, self.mu, count + 2)[1:-1]
-        cols = [r] + self.alpha_values(r) + [self.theta(r)]
-        return np.column_stack(cols)
+        return np.column_stack([r, *self.alpha_values(r), self.theta(r)])
 
 
 def _build(space, focal, branch_data, mu, area_constant=None, regular=False) -> TubeProfile:
     branches = tuple(JacobiBranch(k, m, i) for k, m, i in branch_data if m > 0)
-    pairs = [jacobi_solution(b.kappa, b.init) for b in branches]
-    return TubeProfile(
-        space=space,
-        focal=focal,
-        branches=branches,
-        mu=mu,
-        area_constant=area_constant,
-        boundary_leaf_regular=regular,
-        fs=tuple(p[0] for p in pairs),
-        alphas=tuple(p[1] for p in pairs),
-    )
+    return TubeProfile(space, focal, branches, mu, area_constant, regular)
 
 
 def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:

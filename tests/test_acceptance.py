@@ -176,11 +176,12 @@ def test_acceptance_7_pointwise_identities():
     for space, focal in pairs:
         prof = tube_profile(parse_space(space), parse_focal(focal))
         h = 1e-5 * prof.mu
+        alpha = prof.alpha_values
         for r in np.linspace(0.05 * prof.mu, 0.95 * prof.mu, 40):
-            for b, alpha_b in zip(prof.branches, prof.alphas):
-                d_alpha = (-float(alpha_b(r + 2 * h)) + 8 * float(alpha_b(r + h))
-                           - 8 * float(alpha_b(r - h)) + float(alpha_b(r - 2 * h))) / (12 * h)
-                resid = d_alpha + float(alpha_b(r)) ** 2 + b.kappa
+            for k, b in enumerate(prof.branches):
+                d_alpha = (-float(alpha(r + 2 * h)[k]) + 8 * float(alpha(r + h)[k])
+                           - 8 * float(alpha(r - h)[k]) + float(alpha(r - 2 * h)[k])) / (12 * h)
+                resid = d_alpha + float(alpha(r)[k]) ** 2 + b.kappa
                 if abs(resid) > 1e-6:
                     failures.append(f"curvature equation residual {resid:.2e} on {space}")
                     break

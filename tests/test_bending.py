@@ -11,12 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import folbend.bending
 from folbend.bending import (
     BendingResult,
-    ComplexRadial,
-    EpsilonDeformation,
-    RadialOrTubular,
-    TorusIsoparametric,
     complex_radial_bending,
     complex_radial_density,
     energy,
@@ -86,12 +83,13 @@ class TestFiniteTable:
         assert res.mu == pytest.approx(math.pi / 2)
         assert sum(b.multiplicity for b in res.branches) == 7
 
-    def test_profile_reorder_does_not_change_value(self):
+    def test_profile_reorder_does_not_change_value(self, monkeypatch):
         space, focal = parse_space("CP:3"), parse_focal("sub:CP:1")
-        base = tube_profile(space, focal)
-        shuffled = base.reordered((2, 0, 1))
-        a = total_bending(space, focal, TIGHT, profile=base)
-        b = total_bending(space, focal, TIGHT, profile=shuffled)
+        shuffled = tube_profile(space, focal).reordered((2, 0, 1))
+        a = total_bending(space, focal, TIGHT)
+        monkeypatch.setattr(folbend.bending, "tube_profile", lambda *_: shuffled)
+        b = total_bending(space, focal, TIGHT)
+        assert b.branches == shuffled.branches != a.branches
         assert a.value_per_volume == pytest.approx(b.value_per_volume, rel=1e-11)
 
 
@@ -179,8 +177,6 @@ class TestEpsilonDeformation:
     def test_rejects_out_of_range_epsilon(self, eps):
         with pytest.raises(ValueError):
             epsilon_deformed_bending(self.S2, POINT, eps)
-        with pytest.raises(ValueError):
-            EpsilonDeformation(RadialOrTubular(self.S2, POINT), eps)
 
 
 def torus_closed_form(R, r):
@@ -225,7 +221,7 @@ class TestTorus:
         with pytest.raises(ValueError):
             torus_bending(R, r)
         with pytest.raises(ValueError):
-            TorusIsoparametric(R, r)
+            torus_riemann_oracle(R, r, nodes=100)
 
 
 class TestComplexRadial:
@@ -249,41 +245,41 @@ class TestComplexRadial:
             with pytest.raises(ValueError):
                 complex_radial_bending(bad)
         with pytest.raises(ValueError):
-            ComplexRadial(2, -1.0)
+            complex_radial_bending(2, -1.0)
 
 
 class TestEnergy:
     def test_trivial_deformation_energy_is_half_dimension(self):
-        flat = EpsilonDeformation(RadialOrTubular(parse_space("S:4"), POINT), 0.0)
-        res = energy(flat, TIGHT)
+        flat = epsilon_deformed_bending(parse_space("S:4"), POINT, 0.0, TIGHT)
+        res = energy(flat, 4)
         assert res.per_volume == pytest.approx(2.0)
 
     def test_round_sphere_absolute_energy(self):
         # S^3 radial: Vol = 2 pi^2, B = 2 pi^2, E = (3/2) Vol + B = 5 pi^2
-        res = energy(RadialOrTubular(parse_space("S:3"), POINT), TIGHT)
+        res = energy(total_bending(parse_space("S:3"), POINT, TIGHT), 3)
         assert res.status == "finite"
         assert res.per_volume == pytest.approx(2.5, rel=1e-10)
         assert res.bending.volume == pytest.approx(2 * math.pi**2, rel=1e-10)
         assert res.absolute == pytest.approx(5 * math.pi**2, rel=1e-10)
 
     def test_projective_space_has_no_absolute_value(self):
-        res = energy(RadialOrTubular(parse_space("CP:3"), parse_focal("sub:CP:1")), TIGHT)
+        res = energy(total_bending(parse_space("CP:3"), parse_focal("sub:CP:1"), TIGHT), 6)
         assert res.per_volume == pytest.approx(3.0 + 5.0, rel=1e-9)
         assert res.absolute is None
 
     def test_complex_radial_energy(self):
-        res = energy(ComplexRadial(2), TIGHT)
+        res = energy(complex_radial_bending(2, 1.0, TIGHT), 4)
         assert res.per_volume == pytest.approx(2.0 + 2.0, rel=1e-9)
 
     def test_divergent_energy_reports_verdict(self):
-        res = energy(RadialOrTubular(parse_space("S:2"), POINT), TIGHT)
+        res = energy(total_bending(parse_space("S:2"), POINT, TIGHT), 2)
         assert res.status == "divergent"
         assert res.per_volume is None
         assert res.bending.divergent_endpoint == "both"
 
     def test_torus_energy_unsupported(self):
         with pytest.raises(TypeError):
-            energy(TorusIsoparametric(2.0, 1.0))
+            energy(torus_bending(2.0, 1.0), 3)
 
 
 class TestResultInvariants:

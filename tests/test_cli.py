@@ -236,3 +236,70 @@ class TestProcessLevel:
         proc = run_subprocess(["bending", "--space", "S:3"],
                               env={"FOLBEND_LAMBDA": "banana"})
         assert proc.returncode != 0
+
+
+BENDING_KEYS = {"branches", "divergent_endpoint", "error_estimate", "exponent_estimate",
+                "mu", "status", "value", "value_per_volume", "volume"}
+BRANCH_KEYS = {"init", "kappa", "multiplicity"}
+
+
+@pytest.mark.parametrize("argv,top,nested", [
+    (["bending", "--space", "S:3"],
+     BENDING_KEYS | {"command", "space", "focal", "lambda"}, {"branches": BRANCH_KEYS}),
+    (["bending", "--space", "S:2"],
+     BENDING_KEYS | {"command", "space", "focal", "lambda"}, {"branches": BRANCH_KEYS}),
+    (["bending", "--space", "CP:2", "--focal", "sub:RP:2"],
+     {"command", "space", "focal", "lambda", "status", "reason"}, {}),
+    (["bending", "--space", "S:2", "--epsilon", "0.5"],
+     BENDING_KEYS | {"command", "space", "focal", "lambda", "epsilon"},
+     {"branches": BRANCH_KEYS}),
+    (["torus", "--R", "2", "--r", "1"],
+     {"command", "big_radius", "small_radius", "area_weighted", "value",
+      "error_estimate", "upper_bound"}, {}),
+    (["complex-radial", "--m", "3"],
+     BENDING_KEYS | {"command", "m", "lambda"}, {"branches": BRANCH_KEYS}),
+    (["table1"], {"command", "lambda", "rtol", "all_ok", "rows"},
+     {"rows": {"space", "focal", "kind", "closed_form", "expected", "computed",
+               "relative_error", "divergent_endpoint", "exponent_estimate", "status"}}),
+    (["check-integral"], {"command", "lambda", "results"},
+     {"results": {"space", "focal", "status", "lhs", "rhs", "relative_gap", "holds"}}),
+    (["bounds", "--space", "CP:2", "--q", "2", "--case", "II"],
+     {"command", "space", "lambda", "q", "case", "coefficient", "value",
+      "einstein_value"}, {}),
+    (["minimizer", "--space", "S:3"],
+     {"command", "space", "lambda", "bound_value", "bending_status", "value_per_volume",
+      "slack", "attains_bound", "leaves_umbilical", "leaves_integrable", "note"}, {}),
+])
+def test_json_key_sets(argv, top, nested, capsys):
+    # The --json documents are a contract: pin every key of every document.
+    _, out, _ = run_main(argv + ["--json"], capsys)
+    payload = assert_json_round_trips(out)
+    assert set(payload) == top | {"schema_version"}
+    for key, entry_keys in nested.items():
+        assert payload[key]
+        for entry in payload[key]:
+            assert set(entry) == entry_keys
+
+
+@pytest.mark.parametrize("argv", [
+    ["bending", "--space", "S:3", "--lambda", "1e300"],
+    ["bending", "--space", "S:3", "--epsilon", "0.5", "--lambda", "1e300"],
+    ["complex-radial", "--m", "3", "--lambda", "1e300"],
+    ["check-integral", "--lambda", "1e300"],
+    ["table1", "--lambda", "1e200"],
+])
+def test_underflowing_volume_is_undecided(argv):
+    # At these curvature scales the volume integral underflows to zero.
+    proc = run_subprocess(argv)
+    assert proc.returncode == 3
+    assert "undecided" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_high_dimensional_sphere(capsys):
+    # gamma(n/2) overflows a float here; the unit-sphere area must not.
+    code, out, _ = run_main(["bending", "--space", "S:400", "--json"], capsys)
+    assert code == 0
+    payload = assert_json_round_trips(out)
+    # geodesic spheres around a point of S^m: (m - 1) / (2 (m - 2))
+    assert abs(payload["value_per_volume"] - 399 / 796) <= payload["error_estimate"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from folbend import quadrature
 from folbend.quadrature import (
     QuadratureConfig,
     UndecidedError,
@@ -49,9 +50,10 @@ class TestAdaptive:
         assert abs(v1 - v2) < e1
 
     def test_undecided_when_budget_too_small(self):
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16, max_depth=2)
+        # The panel holding a jump keeps its error above 1e-16 down to the width floor.
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16)
         with pytest.raises(UndecidedError):
-            adaptive_quadrature(lambda x: np.sqrt(np.abs(x)), 0.0, 1.0, cfg)
+            adaptive_quadrature(lambda x: np.sign(x - 1 / math.pi), 0.0, 1.0, cfg)
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ValueError):
@@ -120,13 +122,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=2.0)
 
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(divergence_window=0.5)
-
     def test_defaults(self):
         cfg = QuadratureConfig()
         assert cfg.rel_tol == 1e-8
         assert cfg.abs_tol == 1e-12
-        assert cfg.max_depth == 40
-        assert cfg.divergence_window == 1e-2
+        assert quadrature.MAX_DEPTH == 40
+        assert quadrature.DIVERGENCE_WINDOW == 1e-2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,8 +154,9 @@ class TestCatalog:
         prof = tube_profile(space, focal)
         h = 1e-5 * prof.mu
         r = np.linspace(0.05 * prof.mu, 0.95 * prof.mu, 100)
-        for alpha, branch in zip(prof.alphas, prof.branches):
-            lhs = central_derivative(alpha, r, h) + alpha(r) ** 2 + branch.kappa
+        alpha = prof.alpha_values
+        for k, branch in enumerate(prof.branches):
+            lhs = central_derivative(alpha, r, h)[k] + alpha(r)[k] ** 2 + branch.kappa
             assert np.max(np.abs(lhs)) < 1e-6
 
     @pytest.mark.parametrize("space,focal", CATALOG)
@@ -177,6 +179,11 @@ class TestCatalog:
         r = np.linspace(0.1, 1.4, 7)
         assert np.allclose(prof.theta(r), rev.theta(r), rtol=1e-14)
         assert np.allclose(prof.sum_alpha_sq(r), rev.sum_alpha_sq(r), rtol=1e-14)
+
+    def test_flat_branch_rejected(self):
+        prof = tube_profile(parse_space("S:3"), POINT)
+        with pytest.raises(ValueError):
+            replace(prof, branches=(JacobiBranch(0.0, 2, InitKind.NORMAL),))
 
 
 class TestCatalogRejections:
