@@ -37,7 +37,6 @@ from .spaces import Family, FocalVariety, ModelSpace
 from .tubes import InitKind, JacobiBranch, TubeProfile, jacobi_solution, tube_profile
 
 __all__ = [
-    "DEFAULT_QUADRATURE",
     "BendingResult",
     "TorusResult",
     "EnergyResult",
@@ -49,9 +48,6 @@ __all__ = [
     "complex_radial_density",
     "energy",
 ]
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
 
 @dataclass(frozen=True)
 class BendingResult:
@@ -108,7 +104,7 @@ def _divergent_endpoint(open_result: OpenResult) -> str:
 def _per_volume(
     prof: TubeProfile,
     density: Callable,
-    quad: QuadratureConfig,
+    quad: Optional[QuadratureConfig],
     window: Optional[tuple[float, float]] = None,
 ) -> BendingResult:
     """Integral of ``density`` per unit volume of the profile, with its error.
@@ -161,7 +157,7 @@ def total_bending(
 ) -> BendingResult:
     """Total bending per unit volume of the radial/tubular foliation."""
     prof = tube_profile(space, focal)
-    return _per_volume(prof, prof.bending_density, quad or DEFAULT_QUADRATURE)
+    return _per_volume(prof, prof.bending_density, quad)
 
 
 def epsilon_deformed_bending(
@@ -181,17 +177,11 @@ def epsilon_deformed_bending(
     if not (0.0 <= epsilon <= math.pi / 2.0):
         raise ValueError("epsilon must lie in [0, pi/2]")
     prof = tube_profile(space, focal)
-    if epsilon == 0.0:
-        zero_abs = 0.0 if prof.area_constant is not None else None
-        return BendingResult(
-            status="finite", value_per_volume=0.0, error_estimate=0.0,
-            value=zero_abs, mu=prof.mu, branches=prof.branches,
-        )
     window = None
     if epsilon < math.pi / 2.0:
         window = (prof.mu * (math.pi - 2.0 * epsilon) / (2.0 * math.pi),
                   prof.mu * (math.pi + 2.0 * epsilon) / (2.0 * math.pi))
-    return _per_volume(prof, prof.bending_density, quad or DEFAULT_QUADRATURE, window)
+    return _per_volume(prof, prof.bending_density, quad, window)
 
 
 def _check_torus_radii(big_radius: float, small_radius: float) -> None:
@@ -220,7 +210,6 @@ def torus_bending(
     r*(R + r cos t) dt dphi in the integrand.
     """
     _check_torus_radii(big_radius, small_radius)
-    quad = quad or DEFAULT_QUADRATURE
     R, r = big_radius, small_radius
 
     def integrand(t):
@@ -285,7 +274,7 @@ def complex_radial_bending(
     """
     density = complex_radial_density(m, lam)  # validates m and lam
     prof = tube_profile(ModelSpace(Family.COMPLEX_PROJECTIVE, m, lam), FocalVariety.point())
-    return _per_volume(prof, lambda r: density(r) * prof.theta(r), quad or DEFAULT_QUADRATURE)
+    return _per_volume(prof, lambda r: density(r) * prof.theta(r), quad)
 
 
 def energy(bending: BendingResult, n: int) -> EnergyResult:

@@ -6,7 +6,8 @@ shortest round-trip form, so dumps(loads(text)) reproduces the bytes).
 
 Exit codes: 0 for an answered computation (divergence and catalog
 verdicts included), 1 when the reference table fails to reproduce or a
-self check fails, 2 for usage errors, 3 when the quadrature cannot decide
+self check fails, 2 for usage errors (an invalid --lambda or an unparseable
+FOLBEND_* value included), 3 when the quadrature cannot decide
 at the requested tolerance or the volume integral underflows at an extreme
 curvature scale.
 """
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import json
 import math
 import os
 import sys
+from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
@@ -61,46 +63,44 @@ def _env_float(name: str, fallback: float) -> float:
     try:
         return float(raw)
     except ValueError as exc:
-        raise SystemExit(f"folbend: invalid {name}={raw!r}") from exc
+        raise ValueError(f"invalid {name}={raw!r}") from exc
 
 
 def _quad_from_args(args) -> QuadratureConfig:
-    rel = args.rel_tol if args.rel_tol is not None else _env_float("FOLBEND_REL_TOL", 1e-8)
-    absol = args.abs_tol if args.abs_tol is not None else _env_float("FOLBEND_ABS_TOL", 1e-12)
+    default = QuadratureConfig()
+    rel = args.rel_tol if args.rel_tol is not None else _env_float(
+        "FOLBEND_REL_TOL", default.rel_tol)
+    absol = args.abs_tol if args.abs_tol is not None else _env_float(
+        "FOLBEND_ABS_TOL", default.abs_tol)
     return QuadratureConfig(rel_tol=rel, abs_tol=absol)
 
 
 def _lam_from_args(args) -> float:
-    lam = args.lam if args.lam is not None else _env_float("FOLBEND_LAMBDA", 1.0)
-    if not (math.isfinite(lam) and lam > 0):
-        raise SystemExit("folbend: the curvature scale must be positive")
-    return lam
+    # An invalid scale is rejected, as a ValueError, by the space or report it builds.
+    return args.lam if args.lam is not None else _env_float("FOLBEND_LAMBDA", 1.0)
 
 
-def _emit_json(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
+def _plain(obj):
+    """JSON-ready form of a result: dataclass fields by name, enums by value,
+    fractions as strings, tuples as lists."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, Fraction):
+        return str(obj)
+    return obj
+
+
+def _emit_json(context: dict, result=None) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, **context}
+    if result is not None:
+        payload.update(_plain(result))
     print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _branch_payload(branches) -> list:
-    return [
-        {"kappa": b.kappa, "multiplicity": b.multiplicity, "init": b.init.value}
-        for b in branches
-    ]
-
-
-def _bending_payload(res) -> dict:
-    return {
-        "status": res.status,
-        "value_per_volume": res.value_per_volume,
-        "error_estimate": res.error_estimate,
-        "value": res.value,
-        "volume": res.volume,
-        "divergent_endpoint": res.divergent_endpoint,
-        "exponent_estimate": res.exponent_estimate,
-        "mu": res.mu,
-        "branches": _branch_payload(res.branches),
-    }
 
 
 def _divergent_line(res) -> str:
@@ -119,11 +119,23 @@ def _print_bending_human(label: str, res) -> None:
     print(line)
 
 
+_CSV_COLUMNS = ("space", "focal", "lambda", "status", "value_per_volume",
+                "error_estimate", "divergent_endpoint", "exponent_estimate")
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def _cmd_bending(args) -> int:
     quad = _quad_from_args(args)
     lam = _lam_from_args(args)
     space = parse_space(args.space, lam)
     focal = parse_focal(args.focal)
+    context = {"command": "bending", "space": space.label, "focal": focal.label,
+               "lambda": lam}
     try:
         if args.epsilon is not None:
             res = epsilon_deformed_bending(space, focal, args.epsilon, quad)
@@ -131,9 +143,7 @@ def _cmd_bending(args) -> int:
             res = total_bending(space, focal, quad)
     except NotComputableError as exc:
         if args.json:
-            _emit_json({"command": "bending", "space": space.label,
-                        "focal": focal.label, "lambda": lam,
-                        "status": "not-computable", "reason": str(exc)})
+            _emit_json(context, {"status": "not-computable", "reason": str(exc)})
         else:
             print(f"{space.label} / {focal.label}: not computable ({exc})")
         return 0
@@ -141,23 +151,15 @@ def _cmd_bending(args) -> int:
     if args.emit_profile:
         write_profile_csv(tube_profile(space, focal), args.emit_profile)
 
+    if args.epsilon is not None:
+        context["epsilon"] = args.epsilon
     if args.json:
-        payload = {"command": "bending", "space": space.label,
-                   "focal": focal.label, "lambda": lam, **_bending_payload(res)}
-        if args.epsilon is not None:
-            payload["epsilon"] = args.epsilon
-        _emit_json(payload)
+        _emit_json(context, res)
     elif args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["space", "focal", "lambda", "status", "value_per_volume",
-                         "error_estimate", "divergent_endpoint", "exponent_estimate"])
-        writer.writerow([space.label, focal.label, repr(lam), res.status,
-                         "" if res.value_per_volume is None else repr(res.value_per_volume),
-                         "" if res.error_estimate is None else repr(res.error_estimate),
-                         res.divergent_endpoint or "",
-                         "" if res.exponent_estimate is None else repr(res.exponent_estimate)])
-        sys.stdout.write(buf.getvalue())
+        row = {**context, **_plain(res)}
+        writer = csv.writer(sys.stdout)
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerow([_csv_cell(row[key]) for key in _CSV_COLUMNS])
     else:
         label = f"{space.label} / {focal.label}"
         if args.epsilon is not None:
@@ -172,10 +174,7 @@ def _cmd_torus(args) -> int:
                         area_weighted=args.area_weighted)
     if args.json:
         _emit_json({"command": "torus", "big_radius": args.big_radius,
-                    "small_radius": args.small_radius,
-                    "area_weighted": res.area_weighted, "value": res.value,
-                    "error_estimate": res.error_estimate,
-                    "upper_bound": res.upper_bound})
+                    "small_radius": args.small_radius}, res)
     else:
         print(f"torus R={args.big_radius:g}, r={args.small_radius:g}: "
               f"B = {res.value:.6f} < {res.upper_bound:.6f} (upper bound)")
@@ -187,8 +186,7 @@ def _cmd_complex_radial(args) -> int:
     lam = _lam_from_args(args)
     res = complex_radial_bending(args.m, lam, quad)
     if args.json:
-        _emit_json({"command": "complex-radial", "m": args.m, "lambda": lam,
-                    **_bending_payload(res)})
+        _emit_json({"command": "complex-radial", "m": args.m, "lambda": lam}, res)
     else:
         print(f"complex radial on CP:{args.m}: B/Vol = {res.value_per_volume:.6f} "
               f"(closed form: 2 * lam = {2 * lam:.6f})")
@@ -204,18 +202,8 @@ def _cmd_table1(args) -> int:
     lam = _lam_from_args(args)
     report = table1_report(lam=lam, rtol=args.rtol, quad=quad)
     if args.json:
-        rows = []
-        for row in report.rows:
-            rows.append({
-                "space": row.space, "focal": row.focal, "kind": row.kind,
-                "closed_form": None if row.closed_form is None else str(row.closed_form),
-                "expected": row.expected, "computed": row.computed,
-                "relative_error": row.relative_error,
-                "divergent_endpoint": row.divergent_endpoint,
-                "exponent_estimate": row.exponent_estimate, "status": row.status,
-            })
         _emit_json({"command": "table1", "lambda": lam, "rtol": args.rtol,
-                    "all_ok": report.all_ok, "rows": rows})
+                    "all_ok": report.all_ok}, {"rows": report.rows})
     else:
         for row in report.rows:
             label = f"{row.space} / {row.focal}"
@@ -224,10 +212,7 @@ def _cmd_table1(args) -> int:
                       f"(closed form: {_closed_form_text(row.closed_form, lam)}) "
                       f"[{row.status}]")
             elif row.kind == "divergent" and row.divergent_endpoint is not None:
-                exp = row.exponent_estimate
-                kind = "log" if exp is not None and 0.9 <= exp <= 1.1 else "power"
-                print(f"{label}: Divergent ({kind}) at r={row.divergent_endpoint} "
-                      f"[{row.status}]")
+                print(f"{label}: {_divergent_line(row)} [{row.status}]")
             elif row.kind == "not-computable":
                 print(f"{label}: not determined by the tube catalog [{row.status}]")
             else:
@@ -249,12 +234,7 @@ def _cmd_check_integral(args) -> int:
         for s, f in pairs
     ]
     if args.json:
-        _emit_json({"command": "check-integral", "lambda": lam, "results": [
-            {"space": r.space, "focal": r.focal, "status": r.status,
-             "lhs": r.lhs, "rhs": r.rhs, "relative_gap": r.relative_gap,
-             "holds": r.holds}
-            for r in results
-        ]})
+        _emit_json({"command": "check-integral", "lambda": lam}, {"results": results})
     else:
         for r in results:
             if r.status == "not-applicable":

@@ -146,6 +146,13 @@ class TestEpsilonDeformation:
         assert res.value_per_volume == 0.0
         assert res.value == 0.0
 
+    def test_zero_deformation_keeps_the_volume(self):
+        s3 = parse_space("S:3")
+        res = epsilon_deformed_bending(s3, POINT, 0.0)
+        assert res.volume == total_bending(s3, POINT).volume
+        assert res.value_per_volume == 0.0
+        assert energy(res, 3).absolute == 1.5 * res.volume
+
     @pytest.mark.parametrize("eps", [math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3])
     def test_sphere_window_closed_form(self, eps):
         res = epsilon_deformed_bending(self.S2, POINT, eps, TIGHT)

@@ -145,6 +145,12 @@ class TestTableReport:
         assert report.rows[0].status == "Failed"
         report = table1_report(quad=TIGHT, rows=[("S:3", "point", "not computable")])
         assert report.rows[0].status == "Failed"
+        assert report.rows[0].computed == pytest.approx(1.0, rel=1e-9)
+
+    def test_unexpectedly_not_computable_row_fails(self):
+        report = table1_report(quad=TIGHT, rows=[("CP:2", "sub:RP:2", "divergent")])
+        assert report.rows[0].status == "Failed"
+        assert report.rows[0].computed is None
 
     def test_rejects_bad_curvature(self):
         for lam in (0.0, -1.0, math.inf):

@@ -235,7 +235,8 @@ class TestProcessLevel:
     def test_invalid_environment_value(self):
         proc = run_subprocess(["bending", "--space", "S:3"],
                               env={"FOLBEND_LAMBDA": "banana"})
-        assert proc.returncode != 0
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 BENDING_KEYS = {"branches", "divergent_endpoint", "error_estimate", "exponent_estimate",
@@ -279,6 +280,32 @@ def test_json_key_sets(argv, top, nested, capsys):
         assert payload[key]
         for entry in payload[key]:
             assert set(entry) == entry_keys
+
+
+LAMBDA_COMMANDS = [
+    ["bending", "--space", "S:3"],
+    ["complex-radial", "--m", "3"],
+    ["table1"],
+    ["check-integral"],
+    ["bounds", "--space", "CP:2", "--q", "2", "--case", "II"],
+    ["minimizer", "--space", "S:3"],
+]
+
+
+@pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("argv", LAMBDA_COMMANDS, ids=[a[0] for a in LAMBDA_COMMANDS])
+def test_invalid_lambda_is_usage_error(argv, lam, capsys):
+    code, _, err = run_main(argv + ["--lambda", lam], capsys)
+    assert code == 2
+    assert err.startswith("folbend: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["FOLBEND_LAMBDA", "FOLBEND_REL_TOL", "FOLBEND_ABS_TOL"])
+def test_unparseable_environment_is_usage_error(name, capsys, monkeypatch):
+    monkeypatch.setenv(name, "banana")
+    code, _, err = run_main(["bending", "--space", "S:3"], capsys)
+    assert code == 2
+    assert err == f"folbend: invalid {name}='banana'\n"
 
 
 @pytest.mark.parametrize("argv", [
