@@ -273,6 +273,8 @@ def table1_report(
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("the curvature scale must be positive")
+    if not (math.isfinite(rtol) and rtol >= 0):
+        raise ValueError("the relative tolerance must be a nonnegative finite number")
     out = tuple(
         _table_row(space, focal, form, lam, rtol, quad)
         for space, focal, form in (rows if rows is not None else DEFAULT_TABLE_ROWS)

@@ -6,10 +6,10 @@ shortest round-trip form, so dumps(loads(text)) reproduces the bytes).
 
 Exit codes: 0 for an answered computation (divergence and catalog
 verdicts included), 1 when the reference table fails to reproduce or a
-self check fails, 2 for usage errors (an invalid --lambda or an unparseable
-FOLBEND_* value included), 3 when the quadrature cannot decide
-at the requested tolerance or the volume integral underflows at an extreme
-curvature scale.
+self check fails, 2 for usage errors (an invalid --lambda, a negative or
+non-finite table1 --rtol or an unparseable FOLBEND_* value included), 3
+when the quadrature cannot decide at the requested tolerance or the volume
+integral underflows at an extreme curvature scale.
 """
 from __future__ import annotations
 
@@ -136,6 +136,8 @@ def _cmd_bending(args) -> int:
     focal = parse_focal(args.focal)
     context = {"command": "bending", "space": space.label, "focal": focal.label,
                "lambda": lam}
+    if args.epsilon is not None:
+        context["epsilon"] = args.epsilon
     try:
         if args.epsilon is not None:
             res = epsilon_deformed_bending(space, focal, args.epsilon, quad)
@@ -151,8 +153,6 @@ def _cmd_bending(args) -> int:
     if args.emit_profile:
         write_profile_csv(tube_profile(space, focal), args.emit_profile)
 
-    if args.epsilon is not None:
-        context["epsilon"] = args.epsilon
     if args.json:
         _emit_json(context, res)
     elif args.csv:

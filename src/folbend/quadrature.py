@@ -28,8 +28,22 @@ Only the tolerances are settable (``QuadratureConfig``); the refinement
 budget of ``adaptive_quadrature`` (``MAX_DEPTH`` bisections of a panel,
 ``MAX_PANELS`` panels) and the endpoint policy above are module constants.
 
+Both entry points use the 15-point Gauss-Kronrod rule with its embedded
+7-point Gauss rule, the QK15 rule of QUADPACK (R. Piessens,
+E. de Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, *QUADPACK: A
+Subroutine Package for Automatic Integration*, Springer, 1983).
+
+The integrand contract: ``f`` maps a 1-D float array of any length to an
+array of the same shape, elementwise, and every value must be finite.  One
+call covers many panels: a whole endpoint ladder, or both children of a
+bisection, arrive as one flat array of 15 nodes per panel.
+
 All reductions happen in a fixed order (panels sorted by position, summed
-with math.fsum), so results do not depend on evaluation order.
+with math.fsum), so results do not depend on evaluation order.  Each
+panel's row of 15 values is reduced with its own 1-D dot product against
+the rule's weights; a 2-D matrix-vector product over all rows sums in a
+different order and changes the last bit, so with 1-D dots a panel's
+integral does not depend on which panels share its call.
 """
 from __future__ import annotations
 
@@ -125,19 +139,24 @@ class QuadratureConfig:
             raise ValueError("abs_tol must lie in (0, 1)")
 
 
-def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """One Kronrod panel: returns (integral, error estimate)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = center + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
+def _gk15(f: Callable, a: list[float], b: list[float]) -> tuple[list[float], list[float]]:
+    """Kronrod panels [a[i], b[i]] in one integrand call: (integrals, error estimates)."""
+    lo = np.asarray(a, dtype=float)
+    hi = np.asarray(b, dtype=float)
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(x.reshape(-1)), dtype=float)
+    if y.shape != (x.size,):
         raise ValueError("integrand must map a vector of nodes to a vector of values")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"integrand returned a non-finite value inside [{a}, {b}]")
-    kron = half * float(_KRONROD_W @ y)
-    gauss = half * float(_GAUSS_W @ y)
-    return kron, abs(kron - gauss)
+    y = y.reshape(x.shape)
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"integrand returned a non-finite value inside [{a[i]}, {b[i]}]")
+    halves = half.tolist()
+    kron = [h * float(_KRONROD_W @ row) for h, row in zip(halves, y)]
+    gauss = [h * float(_GAUSS_W @ row) for h, row in zip(halves, y)]
+    return kron, [abs(k - g) for k, g in zip(kron, gauss)]
 
 
 def adaptive_quadrature(
@@ -161,7 +180,7 @@ def adaptive_quadrature(
         raise ValueError("integration bounds must satisfy a <= b")
 
     width_floor = (b - a) * 2.0 ** (-MAX_DEPTH)
-    val, err = _gk15(f, a, b)
+    (val,), (err,) = _gk15(f, [a], [b])
     # Heap entries: (-error, tiebreak, left, right, value).
     heap = [(-err, 0, a, b, val)]
     tick = 1
@@ -178,8 +197,7 @@ def adaptive_quadrature(
                 f"(residual error {total_err:.3e} on [{a}, {b}])"
             )
         mid = 0.5 * (pa + pb)
-        v1, e1 = _gk15(f, pa, mid)
-        v2, e2 = _gk15(f, mid, pb)
+        (v1, v2), (e1, e2) = _gk15(f, [pa, mid], [mid, pb])
         total_val += (v1 + v2) - pval
         total_err += (e1 + e2) - perr
         sum_abs += abs(v1) + abs(v2) - abs(pval)
@@ -208,10 +226,12 @@ def _endpoint_scan(f: Callable, start: float, direction: int, window: float) -> 
     """Ladder of geometrically shrinking panels approaching ``start``.
 
     direction +1 scans (start, start+window]; -1 scans [start-window, start).
+    Every level wider than the floating-point width floor is listed first,
+    then all of them are evaluated in one integrand call.
     """
     shrink = ENDPOINT_SHRINK
-    sums: list[float] = []
-    errs: list[float] = []
+    lows: list[float] = []
+    highs: list[float] = []
     scale = max(abs(start), abs(start + direction * window), 1.0)
     for k in range(ENDPOINT_LEVELS):
         outer = window * shrink**k
@@ -222,9 +242,9 @@ def _endpoint_scan(f: Callable, start: float, direction: int, window: float) -> 
             pa, pb = start - outer, start - inner
         if pb - pa <= 8.0 * _EPS * scale:
             break
-        v, e = _gk15(f, pa, pb)
-        sums.append(v)
-        errs.append(e)
+        lows.append(pa)
+        highs.append(pb)
+    sums, errs = _gk15(f, lows, highs) if lows else ([], [])
 
     levels = len(sums)
     peak = max((abs(s) for s in sums), default=0.0)

@@ -270,6 +270,8 @@ BRANCH_KEYS = {"init", "kappa", "multiplicity"}
     (["minimizer", "--space", "S:3"],
      {"command", "space", "lambda", "bound_value", "bending_status", "value_per_volume",
       "slack", "attains_bound", "leaves_umbilical", "leaves_integrable", "note"}, {}),
+    (["bending", "--space", "CP:2", "--focal", "sub:RP:2", "--epsilon", "0.5"],
+     {"command", "space", "focal", "lambda", "epsilon", "status", "reason"}, {}),
 ])
 def test_json_key_sets(argv, top, nested, capsys):
     # The --json documents are a contract: pin every key of every document.
@@ -296,6 +298,13 @@ LAMBDA_COMMANDS = [
 @pytest.mark.parametrize("argv", LAMBDA_COMMANDS, ids=[a[0] for a in LAMBDA_COMMANDS])
 def test_invalid_lambda_is_usage_error(argv, lam, capsys):
     code, _, err = run_main(argv + ["--lambda", lam], capsys)
+    assert code == 2
+    assert err.startswith("folbend: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rtol", ["-1", "nan", "inf"])
+def test_invalid_rtol_is_usage_error(rtol, capsys):
+    code, _, err = run_main(["table1", "--rtol", rtol], capsys)
     assert code == 2
     assert err.startswith("folbend: ") and "Traceback" not in err
 

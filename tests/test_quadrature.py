@@ -128,3 +128,109 @@ class TestConfigValidation:
         assert cfg.abs_tol == 1e-12
         assert quadrature.MAX_DEPTH == 40
         assert quadrature.DIVERGENCE_WINDOW == 1e-2
+
+
+def _scalar_gk15(f, a, b):
+    """Reference kernel: one Kronrod panel, one integrand call."""
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    y = np.asarray(f(center + half * quadrature._NODES), dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"integrand returned a non-finite value inside [{a}, {b}]")
+    kron = half * float(quadrature._KRONROD_W @ y)
+    gauss = half * float(quadrature._GAUSS_W @ y)
+    return kron, abs(kron - gauss)
+
+
+def _panel_loop(f, a, b):
+    """Stand-in for quadrature._gk15 that calls the reference kernel panel by panel."""
+    pairs = [_scalar_gk15(f, pa, pb) for pa, pb in zip(a, b)]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+class _Counting:
+    """Integrand wrapper that counts calls and nodes."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, x):
+        self.sizes.append(x.size)
+        return self.f(x)
+
+
+class TestBatchedPanels:
+    def test_one_call_per_endpoint_ladder(self):
+        f = _Counting(np.cos)
+        res = integrate_open(f, 0.0, 1.0, TIGHT)
+        assert res.lower.levels > 30 and res.upper.levels > 30
+        assert f.sizes[:2] == [15 * res.lower.levels, 15 * res.upper.levels]
+        # Then the central adaptive quadrature: one panel, then two per bisection.
+        assert f.sizes[2:] == [15] + [30] * (len(f.sizes) - 3)
+
+    def test_divergent_ladder_calls_only_the_ladders(self):
+        f = _Counting(lambda x: 1.0 / x)
+        res = integrate_open(f, 0.0, 1.0, TIGHT)
+        assert res.status == "divergent"
+        assert f.sizes == [15 * res.lower.levels, 15 * res.upper.levels]
+
+    def test_empty_ladder_makes_no_call(self):
+        # Relative to 1e10 even the widest ladder panel is below the width floor.
+        f = _Counting(np.cos)
+        res = integrate_open(f, 1e10, 1e10 + 1e-3, TIGHT)
+        assert res.lower.levels == res.upper.levels == 0
+        assert 0 not in f.sizes
+
+    def test_adaptive_one_call_per_bisection(self, monkeypatch):
+        f = lambda x: 1e-3 / (x**2 + 1e-6)
+        batched = _Counting(f)
+        result = adaptive_quadrature(batched, -1.0, 1.0, TIGHT)
+        panel_by_panel = _Counting(f)
+        monkeypatch.setattr(quadrature, "_gk15", _panel_loop)
+        reference = adaptive_quadrature(panel_by_panel, -1.0, 1.0, TIGHT)
+        assert result == reference
+        bisections = (len(panel_by_panel.sizes) - 1) // 2
+        assert bisections > 10
+        assert len(batched.sizes) == 1 + bisections
+        assert sum(batched.sizes) == sum(panel_by_panel.sizes)
+
+    @pytest.mark.parametrize("f", [lambda x: x**-0.5, np.log, lambda x: 1.0 / x, np.cos],
+                             ids=["x^-0.5", "log", "1/x", "cos"])
+    def test_bit_identical_to_panel_loop(self, f, monkeypatch):
+        def recording(kernel, log):
+            def run(g, a, b):
+                out = kernel(g, a, b)
+                log.append((list(a), list(b), out))
+                return out
+            return run
+
+        batched_log, reference_log = [], []
+        monkeypatch.setattr(quadrature, "_gk15", recording(quadrature._gk15, batched_log))
+        result = integrate_open(f, 0.0, 1.0, TIGHT)
+        monkeypatch.setattr(quadrature, "_gk15", recording(_panel_loop, reference_log))
+        reference = integrate_open(f, 0.0, 1.0, TIGHT)
+        # Ladder sums and errors, every central panel, and the fitted exponents.
+        assert batched_log == reference_log
+        assert result == reference
+        assert reference.lower.exponent is not None
+
+    def test_first_bad_ladder_panel_is_named(self, monkeypatch):
+        # NaN below 1e-4: many ladder panels hold bad nodes; the outermost is named.
+        f = lambda x: np.where(x < 1e-4, np.nan, 1.0)
+        with pytest.raises(ValueError) as batched:
+            integrate_open(f, 0.0, 1.0, TIGHT)
+        monkeypatch.setattr(quadrature, "_gk15", _panel_loop)
+        with pytest.raises(ValueError) as reference:
+            integrate_open(f, 0.0, 1.0, TIGHT)
+        assert str(batched.value) == str(reference.value)
+
+    def test_first_bad_child_is_named(self, monkeypatch):
+        # The centers of both halves are bad; the whole panel's nodes miss them.
+        f = lambda x: np.where(np.isin(x, [0.25, 0.75]), np.inf, np.abs(x - 1 / 3))
+        with pytest.raises(ValueError, match=r"inside \[0\.0, 0\.5\]") as batched:
+            adaptive_quadrature(f, 0.0, 1.0, TIGHT)
+        monkeypatch.setattr(quadrature, "_gk15", _panel_loop)
+        with pytest.raises(ValueError) as reference:
+            adaptive_quadrature(f, 0.0, 1.0, TIGHT)
+        assert str(batched.value) == str(reference.value)
