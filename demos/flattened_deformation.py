@@ -13,8 +13,9 @@ growing without bound as the window fills the sphere.
 """
 import math
 
-from folbend import epsilon_deformed_bending, parse_focal, parse_space
+from folbend.bending import epsilon_deformed_bending
 from folbend.quadrature import QuadratureConfig
+from folbend.spaces import parse_focal, parse_space
 
 s2 = parse_space("S:2")
 point = parse_focal("point")

@@ -9,7 +9,7 @@ against their exact closed forms; the rest are classified.
 """
 from fractions import Fraction
 
-from folbend import table1_report
+from folbend.bounds import table1_report
 from folbend.quadrature import QuadratureConfig
 
 # one tight tolerance for the whole table

@@ -10,16 +10,9 @@ space must respect.
 """
 import math
 
-from folbend import (
-    BoundCase,
-    complex_radial_bending,
-    einstein_lower_bound,
-    lower_bound,
-    minimizer_report,
-    parse_space,
-    torus_bending,
-)
-from folbend.bending import torus_riemann_oracle
+from folbend.bending import complex_radial_bending, torus_bending, torus_riemann_oracle
+from folbend.bounds import BoundCase, einstein_lower_bound, lower_bound, minimizer_report
+from folbend.spaces import parse_space
 
 # --- the torus ---------------------------------------------------------
 R, r = 2.0, 1.0

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from folbend import parse_focal, parse_space, tube_profile
-from folbend.tubes import write_profile_csv
+from folbend.spaces import parse_focal, parse_space
+from folbend.tubes import tube_profile, write_profile_csv
 
 for space, focal in (("S:5", "point"), ("S:5", "sub:S:2"),
                      ("CP:3", "sub:CP:1"), ("HP:2", "point")):

@@ -7,9 +7,10 @@ shortest round-trip form, so dumps(loads(text)) reproduces the bytes).
 Exit codes: 0 for an answered computation (divergence and catalog
 verdicts included), 1 when the reference table fails to reproduce or a
 self check fails, 2 for usage errors (an invalid --lambda, a negative or
-non-finite table1 --rtol or an unparseable FOLBEND_* value included), 3
-when the quadrature cannot decide at the requested tolerance or the volume
-integral underflows at an extreme curvature scale.
+non-finite table1 --rtol, an unparseable FOLBEND_* value, bending --csv
+with --json, check-integral --focal without --space, an unwritable
+--emit-profile path), 3 when the quadrature cannot decide at the requested
+tolerance or the volume integral underflows at an extreme curvature scale.
 """
 from __future__ import annotations
 
@@ -130,6 +131,8 @@ def _csv_cell(value) -> str:
 
 
 def _cmd_bending(args) -> int:
+    if args.csv and args.json:
+        raise ValueError("--csv and --json are mutually exclusive")
     quad = _quad_from_args(args)
     lam = _lam_from_args(args)
     space = parse_space(args.space, lam)
@@ -151,7 +154,10 @@ def _cmd_bending(args) -> int:
         return 0
 
     if args.emit_profile:
-        write_profile_csv(tube_profile(space, focal), args.emit_profile)
+        try:
+            write_profile_csv(tube_profile(space, focal), args.emit_profile)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.emit_profile}: {exc.strerror or exc}") from exc
 
     if args.json:
         _emit_json(context, res)
@@ -193,10 +199,6 @@ def _cmd_complex_radial(args) -> int:
     return 0
 
 
-def _closed_form_text(frac: Fraction, lam: float) -> str:
-    return f"{frac} * lam = {float(frac) * lam:.6f}"
-
-
 def _cmd_table1(args) -> int:
     quad = _quad_from_args(args)
     lam = _lam_from_args(args)
@@ -209,7 +211,8 @@ def _cmd_table1(args) -> int:
             label = f"{row.space} / {row.focal}"
             if row.kind == "finite" and row.computed is not None:
                 print(f"{label}: B/Vol = {row.computed:.6f} "
-                      f"(closed form: {_closed_form_text(row.closed_form, lam)}) "
+                      f"(closed form: {row.closed_form} * lam = "
+                      f"{float(row.closed_form) * lam:.6f}) "
                       f"[{row.status}]")
             elif row.kind == "divergent" and row.divergent_endpoint is not None:
                 print(f"{label}: {_divergent_line(row)} [{row.status}]")
@@ -223,6 +226,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_check_integral(args) -> int:
+    if args.focal is not None and not args.space:
+        raise ValueError("--focal needs --space")
     quad = _quad_from_args(args)
     lam = _lam_from_args(args)
     if args.space:

@@ -8,9 +8,10 @@ curvature scale ``lam``; spheres and RP have constant sectional curvature
 unit direction u has eigenvalue 4*lam on the invariant-structure images of
 u and ``lam`` on the rest.
 
-The only geometric information downstream modules consume is spectral:
-``jacobi_spectrum`` lists the (eigenvalue, multiplicity) pairs of that
-operator on the orthogonal complement of u.
+Downstream modules read ``invariant_count`` nu and ``dim`` = (nu + 1) * m,
+from which ``tubes.tube_profile`` builds its branches, and
+``jacobi_spectrum``, the (eigenvalue, multiplicity) pairs of the operator
+on the orthogonal complement of u.
 """
 from __future__ import annotations
 
@@ -48,15 +49,6 @@ _INVARIANT_COUNT = {
     Family.CAYLEY_PLANE: 7,
 }
 
-_DIM_FACTOR = {
-    Family.SPHERE: 1,
-    Family.REAL_PROJECTIVE: 1,
-    Family.COMPLEX_PROJECTIVE: 2,
-    Family.QUATERNIONIC_PROJECTIVE: 4,
-    Family.CAYLEY_PLANE: 8,
-}
-
-
 @dataclass(frozen=True)
 class ModelSpace:
     family: Family
@@ -74,7 +66,7 @@ class ModelSpace:
 
     @property
     def dim(self) -> int:
-        return _DIM_FACTOR[self.family] * self.m
+        return (self.invariant_count + 1) * self.m
 
     @property
     def invariant_count(self) -> int:

@@ -238,66 +238,42 @@ def _build(space, focal, branch_data, mu, area_constant=None, regular=False) -> 
 def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
     """Branch data, cut distance and density for one cataloged pair.
 
+    The branches of every family follow from n = ``space.dim`` and nu =
+    ``space.invariant_count`` (A. Gray, *Tubes*, 2nd ed., 2004).
+
     Raises ValueError for pairs outside the catalog and NotComputableError
     for the two classical pairs whose tube data the catalog cannot supply
     (RP^m in CP^m and CP^m in HP^m).
     """
-    lam = space.lam
-    n = space.dim
+    lam, n, nu, m = space.lam, space.dim, space.invariant_count, space.m
     root = math.sqrt(lam)
     fam = space.family
     N, T = InitKind.NORMAL, InitKind.TANGENT
 
     if focal.kind == "point":
-        if fam in (Family.SPHERE, Family.REAL_PROJECTIVE):
-            if space.m < 2:
-                raise ValueError(f"no radial foliation on {space}: need dimension >= 2")
-            mu = math.pi / root if fam is Family.SPHERE else math.pi / (2.0 * root)
-            return _build(
-                space, focal, [(lam, n - 1, N)], mu,
-                area_constant=_unit_sphere_area(n),
-                regular=(fam is Family.REAL_PROJECTIVE),
-            )
-        if fam in (Family.COMPLEX_PROJECTIVE, Family.QUATERNIONIC_PROJECTIVE) and space.m < 2:
+        round_family = fam in (Family.SPHERE, Family.REAL_PROJECTIVE)
+        if m < 2 and round_family:
+            raise ValueError(f"no radial foliation on {space}: need dimension >= 2")
+        if m < 2:
             raise ValueError(f"{space} is isometric to a sphere; use the sphere catalog entry")
-        nu = space.invariant_count
+        mu = math.pi / root if fam is Family.SPHERE else math.pi / (2.0 * root)
         return _build(
-            space, focal,
-            [(lam, n - 1 - nu, N), (4.0 * lam, nu, N)],
-            math.pi / (2.0 * root),
+            space, focal, [(lam, n - 1 - nu, N), (4.0 * lam, nu, N)], mu,
+            area_constant=_unit_sphere_area(n) if round_family else None,
+            regular=(fam is Family.REAL_PROJECTIVE),
         )
 
     sub, p = focal.sub_family, focal.p
-    if fam in (Family.SPHERE, Family.REAL_PROJECTIVE) and sub is fam:
-        if not (1 <= p <= space.m - 1):
+    if sub is fam:
+        if not (1 <= p <= m - 1):
             raise ValueError(f"no totally geodesic {focal.label} inside {space}")
         return _build(
             space, focal,
-            [(lam, p, T), (lam, space.m - 1 - p, N)],
+            [(lam, (nu + 1) * p, T), (lam, (nu + 1) * (m - 1 - p), N), (4.0 * lam, nu, N)],
             math.pi / (2.0 * root),
         )
-    if fam is Family.COMPLEX_PROJECTIVE and sub is Family.COMPLEX_PROJECTIVE:
-        if space.m < 2 or not (1 <= p <= space.m - 1):
-            raise ValueError(f"no totally geodesic {focal.label} inside {space}")
-        return _build(
-            space, focal,
-            [(lam, 2 * p, T), (lam, 2 * (space.m - 1 - p), N), (4.0 * lam, 1, N)],
-            math.pi / (2.0 * root),
-        )
-    if fam is Family.QUATERNIONIC_PROJECTIVE and sub is Family.QUATERNIONIC_PROJECTIVE:
-        if space.m < 2 or not (1 <= p <= space.m - 1):
-            raise ValueError(f"no totally geodesic {focal.label} inside {space}")
-        return _build(
-            space, focal,
-            [(lam, 4 * p, T), (lam, 4 * (space.m - 1 - p), N), (4.0 * lam, 3, N)],
-            math.pi / (2.0 * root),
-        )
-    if fam is Family.COMPLEX_PROJECTIVE and sub is Family.REAL_PROJECTIVE and p == space.m:
-        raise NotComputableError(
-            f"tube data for {focal.label} inside {space.label} is not computable "
-            "from the quoted curvature data"
-        )
-    if fam is Family.QUATERNIONIC_PROJECTIVE and sub is Family.COMPLEX_PROJECTIVE and p == space.m:
+    if p == m and (fam, sub) in ((Family.COMPLEX_PROJECTIVE, Family.REAL_PROJECTIVE),
+                                 (Family.QUATERNIONIC_PROJECTIVE, Family.COMPLEX_PROJECTIVE)):
         raise NotComputableError(
             f"tube data for {focal.label} inside {space.label} is not computable "
             "from the quoted curvature data"

@@ -88,6 +88,20 @@ class TestBendingCommand:
         assert lines[0] == "r,alpha_1,alpha_2,theta"
         assert len(lines) == 201
 
+    def test_unwritable_profile_path_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "profile.csv"
+        code, out, err = run_main(
+            ["bending", "--space", "S:3", "--emit-profile", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("folbend: ") and str(target) in err
+
+    def test_csv_with_json_is_usage_error(self, capsys):
+        code, out, err = run_main(["bending", "--space", "S:4", "--csv", "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("folbend: ")
+
     def test_not_computable_pair(self, capsys):
         code, out, _ = run_main(
             ["bending", "--space", "CP:2", "--focal", "sub:RP:2", "--json"], capsys)
@@ -169,6 +183,12 @@ class TestOtherCommands:
             ["check-integral", "--space", "CP:2", "--focal", "point"], capsys)
         assert code == 0
         assert "not applicable" in out
+
+    def test_check_integral_focal_needs_space(self, capsys):
+        code, out, err = run_main(["check-integral", "--focal", "sub:S:2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("folbend: ")
 
     def test_bounds_output(self, capsys):
         code, out, _ = run_main(["bounds", "--space", "CP:2", "--q", "2",

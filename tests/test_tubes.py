@@ -33,6 +33,23 @@ CATALOG = [
     (parse_space("CaP2"), POINT),
 ]
 
+N, T = InitKind.NORMAL, InitKind.TANGENT
+
+# One pair per (family, focal kind) at lam = 2, branches in catalog order.
+# The order is printed by --json and sets the last bits of B/Vol, so it is
+# pinned as a tuple rather than compared as a set.
+ORDERED_BRANCHES = [
+    ("S:5", "point", [(2.0, 4, N)]),
+    ("RP:4", "point", [(2.0, 3, N)]),
+    ("CP:3", "point", [(2.0, 4, N), (8.0, 1, N)]),
+    ("HP:3", "point", [(2.0, 8, N), (8.0, 3, N)]),
+    ("CaP2", "point", [(2.0, 8, N), (8.0, 7, N)]),
+    ("S:5", "sub:S:2", [(2.0, 2, T), (2.0, 2, N)]),
+    ("RP:4", "sub:RP:2", [(2.0, 2, T), (2.0, 1, N)]),
+    ("CP:3", "sub:CP:1", [(2.0, 2, T), (2.0, 2, N), (8.0, 1, N)]),
+    ("HP:3", "sub:HP:1", [(2.0, 4, T), (2.0, 4, N), (8.0, 3, N)]),
+]
+
 
 def central_derivative(func, r, h):
     # Fourth-order centered stencil keeps the truncation error far below
@@ -148,6 +165,12 @@ class TestCatalog:
             (1.0, 4, InitKind.NORMAL),
             (4.0, 3, InitKind.NORMAL),
         }
+
+    @pytest.mark.parametrize("space_text,focal_text,expected", ORDERED_BRANCHES,
+                             ids=[f"{s}/{f}" for s, f, _ in ORDERED_BRANCHES])
+    def test_branch_order(self, space_text, focal_text, expected):
+        prof = tube_profile(parse_space(space_text, lam=2.0), parse_focal(focal_text))
+        assert prof.branches == tuple(JacobiBranch(*b) for b in expected)
 
     @pytest.mark.parametrize("space,focal", CATALOG)
     def test_riccati_identity(self, space, focal):
