@@ -5,12 +5,14 @@ JSON document with --json (schema_version 1, keys sorted, floats in
 shortest round-trip form, so dumps(loads(text)) reproduces the bytes).
 
 Exit codes: 0 for an answered computation (divergence and catalog
-verdicts included), 1 when the reference table fails to reproduce or a
-self check fails, 2 for usage errors (an invalid --lambda, a negative or
-non-finite table1 --rtol, an unparseable FOLBEND_* value, bending --csv
-with --json, check-integral --focal without --space, an unwritable
---emit-profile path), 3 when the quadrature cannot decide at the requested
-tolerance or the volume integral underflows at an extreme curvature scale.
+verdicts included, and also when the reader of stdout closes it early),
+1 when the reference table fails to reproduce or a self check fails, 2
+for usage errors (an invalid --lambda, a negative or non-finite table1
+--rtol, an unparseable FOLBEND_* value, bending --csv with --json,
+check-integral --focal without --space, an --emit-profile that cannot be
+written: an unwritable path, or a not-computable pair, which has no
+profile), 3 when the quadrature cannot decide at the requested tolerance or the volume
+integral underflows at an extreme curvature scale.
 """
 from __future__ import annotations
 
@@ -141,23 +143,22 @@ def _cmd_bending(args) -> int:
                "lambda": lam}
     if args.epsilon is not None:
         context["epsilon"] = args.epsilon
+    if args.emit_profile:
+        try:
+            write_profile_csv(tube_profile(space, focal), args.emit_profile)
+        except (OSError, NotComputableError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"cannot write {args.emit_profile}: {reason}") from exc
     try:
         if args.epsilon is not None:
             res = epsilon_deformed_bending(space, focal, args.epsilon, quad)
         else:
             res = total_bending(space, focal, quad)
     except NotComputableError as exc:
-        if args.json:
-            _emit_json(context, {"status": "not-computable", "reason": str(exc)})
-        else:
+        if not (args.json or args.csv):
             print(f"{space.label} / {focal.label}: not computable ({exc})")
-        return 0
-
-    if args.emit_profile:
-        try:
-            write_profile_csv(tube_profile(space, focal), args.emit_profile)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.emit_profile}: {exc.strerror or exc}") from exc
+            return 0
+        res = {"status": "not-computable", "reason": str(exc)}
 
     if args.json:
         _emit_json(context, res)
@@ -165,7 +166,7 @@ def _cmd_bending(args) -> int:
         row = {**context, **_plain(res)}
         writer = csv.writer(sys.stdout)
         writer.writerow(_CSV_COLUMNS)
-        writer.writerow([_csv_cell(row[key]) for key in _CSV_COLUMNS])
+        writer.writerow([_csv_cell(row.get(key)) for key in _CSV_COLUMNS])
     else:
         label = f"{space.label} / {focal.label}"
         if args.epsilon is not None:
@@ -435,7 +436,14 @@ def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early; the answer was computed.  Point
+        # stdout at devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UndecidedError as exc:
         print(f"folbend: undecided: {exc}", file=sys.stderr)
         return 3

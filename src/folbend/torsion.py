@@ -14,15 +14,16 @@ almost-product structure:
 Everything below is finite index algebra on these arrays: square sums,
 second-fundamental-form and integrability-tensor norms (symmetric and skew
 parts), mean-curvature norms, second mean curvatures, and the slack of the
-inequalities relating them.  Sums are evaluated with ``math.fsum`` in a
-fixed traversal order, so results are reproducible bit for bit regardless
-of how callers parallelize around this module.
+inequalities relating them.  Terms are numpy array expressions and every
+sum is a correctly rounded ``math.fsum``, so results do not depend on the
+order of the terms and are reproducible bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class TorsionCoefficients:
     """Torsion coefficient blocks of a splitting at one point.
 
     ``vertical`` has shape (q, q, n-q) and ``horizontal`` (n-q, n-q, q).
-    Arrays are copied and frozen on construction.
+    Arrays are copied and frozen on construction; derived scalars on first use.
     """
 
     dims: SplitDims
@@ -88,6 +89,18 @@ class TorsionCoefficients:
         horiz.flags.writeable = False
         object.__setattr__(self, "vertical", vert)
         object.__setattr__(self, "horizontal", horiz)
+
+    @functools.cached_property
+    def _derived(self) -> DerivedTensors:
+        # Kept in this object's __dict__: the blocks are frozen, so the value
+        # stays valid, and an equal but distinct object computes its own.
+        sigma_v, sff_v, skew_v, mean_v, mu_v = _block_scalars(self.vertical)
+        sigma_h, sff_h, skew_h, mean_h, mu_h = _block_scalars(self.horizontal)
+        return DerivedTensors(
+            sigma_v=sigma_v, sigma_h=sigma_h, norm_sq=2.0 * (sigma_v + sigma_h),
+            sff_v_sq=sff_v, sff_h_sq=sff_h, skew_v_sq=skew_v, skew_h_sq=skew_h,
+            mean_v_sq=mean_v, mean_h_sq=mean_h, mu_v=mu_v, mu_h=mu_h,
+        )
 
 
 @dataclass(frozen=True)
@@ -116,45 +129,38 @@ class DerivedTensors:
     mu_h: float
 
 
+def _fsum(terms: np.ndarray) -> float:
+    """Correctly rounded sum of every entry, whatever their order."""
+    return math.fsum(terms.ravel().tolist())
+
+
+def _pair_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a < b, a != b) as (d, d) masks over the first two block indices."""
+    idx = np.arange(d)
+    return idx[:, None] < idx, idx[:, None] != idx
+
+
 def _block_scalars(block: np.ndarray) -> tuple[float, float, float, float, float]:
     """(square sum, sff^2, skew^2, mean^2, mu) for one (d, d, c) block."""
-    d, _, c = block.shape
-    sigma = math.fsum(x * x for x in block.flat)
-    sff = math.fsum(
-        0.25 * (block[a, b, j] + block[b, a, j]) ** 2
-        for a in range(d) for b in range(d) for j in range(c)
+    upper, _ = _pair_masks(block.shape[0])
+    swapped = block.transpose(1, 0, 2)  # swapped[a, b, j] = block[b, a, j]
+    diag = block.diagonal().T  # diag[a, j] = block[a, a, j]
+    sym = block + swapped
+    anti = block - swapped
+    traces = [math.fsum(column) for column in diag.T.tolist()]  # one per j
+    minors = diag[:, None, :] * diag[None, :, :] - block * swapped
+    return (
+        _fsum(block * block),
+        _fsum(0.25 * (sym * sym)),
+        _fsum(0.25 * (anti * anti)),
+        math.fsum(t * t for t in traces),
+        _fsum(minors[upper]),
     )
-    skew = math.fsum(
-        0.25 * (block[a, b, j] - block[b, a, j]) ** 2
-        for a in range(d) for b in range(d) for j in range(c)
-    )
-    mean = math.fsum(
-        math.fsum(block[a, a, j] for a in range(d)) ** 2 for j in range(c)
-    )
-    mu = math.fsum(
-        block[a, a, j] * block[b, b, j] - block[a, b, j] * block[b, a, j]
-        for j in range(c) for a in range(d) for b in range(a + 1, d)
-    )
-    return sigma, sff, skew, mean, mu
 
 
 def derive(coeffs: TorsionCoefficients) -> DerivedTensors:
-    """Compute every derived scalar from the coefficient blocks."""
-    sigma_v, sff_v, skew_v, mean_v, mu_v = _block_scalars(coeffs.vertical)
-    sigma_h, sff_h, skew_h, mean_h, mu_h = _block_scalars(coeffs.horizontal)
-    return DerivedTensors(
-        sigma_v=sigma_v,
-        sigma_h=sigma_h,
-        norm_sq=2.0 * (sigma_v + sigma_h),
-        sff_v_sq=sff_v,
-        sff_h_sq=sff_h,
-        skew_v_sq=skew_v,
-        skew_h_sq=skew_h,
-        mean_v_sq=mean_v,
-        mean_h_sq=mean_h,
-        mu_v=mu_v,
-        mu_h=mu_h,
-    )
+    """Every derived scalar of the coefficient blocks, computed once per object."""
+    return coeffs._derived
 
 
 def mu_identity_residual(coeffs: TorsionCoefficients) -> tuple[float, float]:
@@ -163,7 +169,7 @@ def mu_identity_residual(coeffs: TorsionCoefficients) -> tuple[float, float]:
     Both sides come from independent index sums, so a nonzero residual
     beyond round-off indicates an algebra bug, not input noise.
     """
-    d = derive(coeffs)
+    d = coeffs._derived
     res_v = 2.0 * d.mu_v - (d.mean_v_sq + d.skew_v_sq - d.sff_v_sq)
     res_h = 2.0 * d.mu_h - (d.mean_h_sq + d.skew_h_sq - d.sff_h_sq)
     return res_v, res_h
@@ -177,21 +183,18 @@ def _sigma_slack_block(block: np.ndarray) -> float:
     difference) keeps the result exactly >= 0.  For d = 1 the quotient
     mu/(d-1) is taken to be zero, so the slack is sigma itself.
     """
-    d, _, c = block.shape
+    d = block.shape[0]
+    squares = block * block
     if d < 2:
-        return math.fsum(x * x for x in block.flat)
-    terms = []
-    for j in range(c):
-        for a in range(d):
-            for b in range(a + 1, d):
-                terms.append((block[a, a, j] - block[b, b, j]) ** 2)
-                terms.append((block[a, b, j] + block[b, a, j]) ** 2)
-        if d > 2:
-            for a in range(d):
-                for b in range(d):
-                    if a != b:
-                        terms.append((d - 2) * block[a, b, j] ** 2)
-    return math.fsum(terms) / (d - 1)
+        return _fsum(squares)
+    upper, off = _pair_masks(d)
+    diag = block.diagonal().T
+    spread = diag[:, None, :] - diag[None, :, :]
+    sym = block + block.transpose(1, 0, 2)
+    terms = [(spread * spread)[upper], (sym * sym)[upper]]
+    if d > 2:
+        terms.append((d - 2) * squares[off])
+    return _fsum(np.concatenate(terms, axis=None)) / (d - 1)
 
 
 def sigma_inequality_slack(coeffs: TorsionCoefficients) -> tuple[float, float]:
@@ -211,7 +214,7 @@ def sigma_inequality_slack(coeffs: TorsionCoefficients) -> tuple[float, float]:
 def mean_curvature_bound_slack(coeffs: TorsionCoefficients) -> float:
     """Slack of ((n+2)**2/8)*norm_sq >= mean_v_sq + mean_h_sq."""
     n = coeffs.dims.n
-    d = derive(coeffs)
+    d = coeffs._derived
     return ((n + 2) ** 2 / 8.0) * d.norm_sq - (d.mean_v_sq + d.mean_h_sq)
 
 
@@ -219,7 +222,7 @@ def block_mean_curvature_slacks(coeffs: TorsionCoefficients) -> tuple[float, flo
     """Sharper per-block forms: ((q+1)*sigma_v - mean_v_sq, (n-q+1)*sigma_h - mean_h_sq)."""
     q = coeffs.dims.q
     h = coeffs.dims.horiz
-    d = derive(coeffs)
+    d = coeffs._derived
     return (q + 1) * d.sigma_v - d.mean_v_sq, (h + 1) * d.sigma_h - d.mean_h_sq
 
 
@@ -236,25 +239,16 @@ class BlockFlags:
 
 
 def _classify_block(block: np.ndarray, thresh: float) -> tuple[bool, bool, bool]:
-    d = block.shape[0]
-    sym = 0.0
-    skew = 0.0
-    off_sym = 0.0
-    diag_spread = 0.0
-    for j in range(block.shape[2]):
-        for a in range(d):
-            for b in range(d):
-                s = abs(block[a, b, j] + block[b, a, j])
-                k = abs(block[a, b, j] - block[b, a, j])
-                sym = max(sym, s)
-                skew = max(skew, k)
-                if a != b:
-                    off_sym = max(off_sym, s)
-            for b in range(a + 1, d):
-                diag_spread = max(diag_spread, abs(block[a, a, j] - block[b, b, j]))
-    geodesic = bool(sym <= 2.0 * thresh)
-    integrable = bool(skew <= 2.0 * thresh)
-    umbilical = bool(off_sym <= 2.0 * thresh and diag_spread <= 2.0 * thresh)
+    upper, off = _pair_masks(block.shape[0])
+    swapped = block.transpose(1, 0, 2)
+    sym = np.abs(block + swapped)
+    diag = block.diagonal().T
+    spread = np.abs(diag[:, None, :] - diag[None, :, :])[upper]
+    limit = 2.0 * thresh
+    geodesic = bool(np.max(sym, initial=0.0) <= limit)
+    integrable = bool(np.max(np.abs(block - swapped), initial=0.0) <= limit)
+    umbilical = bool(np.max(sym[off], initial=0.0) <= limit
+                     and np.max(spread, initial=0.0) <= limit)
     return geodesic, integrable, umbilical
 
 
@@ -266,12 +260,8 @@ def classify(coeffs: TorsionCoefficients, tol: float = 1e-12) -> BlockFlags:
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    scale = 0.0
-    if coeffs.vertical.size:
-        scale = max(scale, float(np.max(np.abs(coeffs.vertical))))
-    if coeffs.horizontal.size:
-        scale = max(scale, float(np.max(np.abs(coeffs.horizontal))))
-    thresh = tol * scale
+    thresh = tol * max(float(np.max(np.abs(block), initial=0.0))
+                       for block in (coeffs.vertical, coeffs.horizontal))
     v = _classify_block(coeffs.vertical, thresh)
     h = _classify_block(coeffs.horizontal, thresh)
     return BlockFlags(

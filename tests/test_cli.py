@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, environment knobs."""
 import json
+import os
 import subprocess
 import sys
 
@@ -16,7 +17,6 @@ def run_main(argv, capsys):
 
 
 def run_subprocess(argv, env=None):
-    import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -108,6 +108,25 @@ class TestBendingCommand:
         assert code == 0
         payload = assert_json_round_trips(out)
         assert payload["status"] == "not-computable"
+
+    def test_not_computable_pair_as_csv(self, capsys):
+        code, out, _ = run_main(
+            ["bending", "--space", "CP:2", "--focal", "sub:RP:2", "--csv"], capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header.startswith("space,focal,lambda,status,value_per_volume")
+        assert row == "CP:2,sub:RP:2,1.0,not-computable,,,,"
+
+    def test_profile_of_not_computable_pair_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "nc.csv"
+        code, out, err = run_main(
+            ["bending", "--space", "CP:2", "--focal", "sub:RP:2",
+             "--emit-profile", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"folbend: cannot write {target}: ")
+        assert "not computable" in err
+        assert not target.exists()
 
     def test_bad_space_is_usage_error(self, capsys):
         code, _, err = run_main(["bending", "--space", "K:4"], capsys)
@@ -251,6 +270,19 @@ class TestProcessLevel:
                                "--json"], env={"FOLBEND_LAMBDA": "3.0"})
         payload = json.loads(proc.stdout)
         assert payload["lambda"] == 1.0
+
+    def test_reader_closing_stdout_early_is_quiet(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "folbend", "check-integral", "--space", "S:3",
+                 "--focal", "sub:S:1", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_invalid_environment_value(self):
         proc = run_subprocess(["bending", "--space", "S:3"],

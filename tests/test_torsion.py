@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import folbend.torsion
 from folbend.torsion import (
     BlockFlags,
     SplitDims,
@@ -21,8 +23,10 @@ from folbend.torsion import (
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: plain numpy expressions, no shared code with the
-# library path (which uses fsum over explicit index loops).
+# Reference implementations.  ref_scalars is plain numpy, compared within a
+# tolerance.  The loop_* functions are index loops over the library's terms,
+# each a scalar formula with every square written x * x and each sum one fsum,
+# so the array implementation must match them with ==.
 
 
 def ref_scalars(block):
@@ -43,6 +47,67 @@ def ref_scalars(block):
         "mean": float(np.sum(trace**2)),
         "mu": float(mu),
     }
+
+
+def _sq(x):
+    return x * x
+
+
+def loop_scalars(block):
+    d, _, c = block.shape
+    sigma = math.fsum(_sq(x) for x in block.flat)
+    sff = math.fsum(
+        0.25 * _sq(block[a, b, j] + block[b, a, j])
+        for a in range(d) for b in range(d) for j in range(c)
+    )
+    skew = math.fsum(
+        0.25 * _sq(block[a, b, j] - block[b, a, j])
+        for a in range(d) for b in range(d) for j in range(c)
+    )
+    mean = math.fsum(
+        _sq(math.fsum(block[a, a, j] for a in range(d))) for j in range(c)
+    )
+    mu = math.fsum(
+        block[a, a, j] * block[b, b, j] - block[a, b, j] * block[b, a, j]
+        for j in range(c) for a in range(d) for b in range(a + 1, d)
+    )
+    return sigma, sff, skew, mean, mu
+
+
+def loop_sigma_slack(block):
+    d, _, c = block.shape
+    if d < 2:
+        return math.fsum(_sq(x) for x in block.flat)
+    terms = []
+    for j in range(c):
+        for a in range(d):
+            for b in range(a + 1, d):
+                terms.append(_sq(block[a, a, j] - block[b, b, j]))
+                terms.append(_sq(block[a, b, j] + block[b, a, j]))
+        if d > 2:
+            for a in range(d):
+                for b in range(d):
+                    if a != b:
+                        terms.append((d - 2) * _sq(block[a, b, j]))
+    return math.fsum(terms) / (d - 1)
+
+
+def loop_flags(block, thresh):
+    d = block.shape[0]
+    sym = skew = off_sym = diag_spread = 0.0
+    for j in range(block.shape[2]):
+        for a in range(d):
+            for b in range(d):
+                s = abs(block[a, b, j] + block[b, a, j])
+                k = abs(block[a, b, j] - block[b, a, j])
+                sym = max(sym, s)
+                skew = max(skew, k)
+                if a != b:
+                    off_sym = max(off_sym, s)
+            for b in range(a + 1, d):
+                diag_spread = max(diag_spread, abs(block[a, a, j] - block[b, b, j]))
+    return (bool(sym <= 2.0 * thresh), bool(skew <= 2.0 * thresh),
+            bool(off_sym <= 2.0 * thresh and diag_spread <= 2.0 * thresh))
 
 
 def make(dims, seed):
@@ -284,3 +349,92 @@ class TestClassify:
         c = TorsionCoefficients(dims, vert, np.zeros((1, 1, 2)))
         assert classify(c, tol=1e-12).v_umbilical is False
         assert classify(c, tol=1e-8).v_umbilical is True
+
+
+# Every public function on one coefficient object, as plain values.
+def all_answers(c):
+    return {
+        "derived": dataclasses.astuple(derive(c)),
+        "flags": dataclasses.astuple(classify(c)),
+        "residual": mu_identity_residual(c),
+        "sigma_slack": sigma_inequality_slack(c),
+        "mean_slack": mean_curvature_bound_slack(c),
+        "block_slacks": block_mean_curvature_slacks(c),
+    }
+
+
+def loop_answers(c):
+    n, q, h = c.dims.n, c.dims.q, c.dims.horiz
+    sigma_v, sff_v, skew_v, mean_v, mu_v = loop_scalars(c.vertical)
+    sigma_h, sff_h, skew_h, mean_h, mu_h = loop_scalars(c.horizontal)
+    norm_sq = 2.0 * (sigma_v + sigma_h)
+    scale = max([0.0] + [float(np.max(np.abs(b))) for b in (c.vertical, c.horizontal) if b.size])
+    return {
+        "derived": (sigma_v, sigma_h, norm_sq, sff_v, sff_h, skew_v, skew_h,
+                    mean_v, mean_h, mu_v, mu_h),
+        "flags": loop_flags(c.vertical, 1e-12 * scale) + loop_flags(c.horizontal, 1e-12 * scale),
+        "residual": (2.0 * mu_v - (mean_v + skew_v - sff_v),
+                     2.0 * mu_h - (mean_h + skew_h - sff_h)),
+        "sigma_slack": (loop_sigma_slack(c.vertical), loop_sigma_slack(c.horizontal)),
+        "mean_slack": ((n + 2) ** 2 / 8.0) * norm_sq - (mean_v + mean_h),
+        "block_slacks": ((q + 1) * sigma_v - mean_v, (h + 1) * sigma_h - mean_h),
+    }
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_bit_identical_to_index_loops(self, chunk):
+        # 30 splittings per chunk, n up to 33, a quarter umbilical by construction.
+        rng = np.random.default_rng(7000 + chunk)
+        for k in range(30):
+            n = int(rng.integers(2, 34))
+            dims = SplitDims(n, int(rng.integers(1, n + 1)))
+            seed = int(rng.integers(2**62))
+            if k % 4 == 0:
+                c = umbilical_coefficients(dims, seed, integrable_v=bool(k % 8 == 0),
+                                           integrable_h=bool(k % 3 == 0))
+            else:
+                c = random_coefficients(dims, seed)
+            assert all_answers(c) == loop_answers(c), (dims, seed)
+
+    @pytest.mark.parametrize("dims", [SplitDims(4, 4), SplitDims(2, 2)])
+    def test_empty_horizontal_block(self, dims):
+        # q == n: the horizontal block is (0, 0, q) and the vertical (q, q, 0).
+        for c in (random_coefficients(dims, 3), umbilical_coefficients(dims, 3)):
+            assert c.vertical.shape == (dims.q, dims.q, 0)
+            assert c.horizontal.shape == (0, 0, dims.q)
+            got = all_answers(c)
+            assert got["derived"] == (0.0,) * 11
+            assert got["flags"] == (True,) * 6
+            assert got["residual"] == got["sigma_slack"] == got["block_slacks"] == (0.0, 0.0)
+            assert got["mean_slack"] == 0.0
+
+
+class TestDeriveOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = folbend.torsion._block_scalars
+
+        def counting(block):
+            seen.append(block.shape)
+            return original(block)
+
+        monkeypatch.setattr(folbend.torsion, "_block_scalars", counting)
+        return seen
+
+    def test_one_computation_per_object(self, calls):
+        dims = SplitDims(9, 4)
+        c = random_coefficients(dims, seed=21)
+        assert calls == []
+        first = all_answers(c)
+        assert calls == [(4, 4, 5), (5, 5, 4)]
+        assert all_answers(c) == first
+        assert len(calls) == 2
+
+    def test_equal_but_distinct_object_computes_again(self, calls):
+        c = random_coefficients(SplitDims(6, 2), seed=4)
+        twin = TorsionCoefficients(c.dims, c.vertical, c.horizontal)
+        assert derive(twin) == derive(c)
+        assert derive(twin) is not derive(c)
+        assert len(calls) == 4
