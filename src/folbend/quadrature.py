@@ -39,18 +39,20 @@ call covers many panels: a whole endpoint ladder, or both children of a
 bisection, arrive as one flat array of 15 nodes per panel.
 
 All reductions happen in a fixed order (panels sorted by position, summed
-with math.fsum), so results do not depend on evaluation order.  Each
-panel's row of 15 values is reduced with its own 1-D dot product against
-the rule's weights; a 2-D matrix-vector product over all rows sums in a
-different order and changes the last bit, so with 1-D dots a panel's
-integral does not depend on which panels share its call.
+with math.fsum), so results do not depend on evaluation order.  Panel rows
+of 15 values are reduced by one ``np.matmul`` of the stacked (1 x 15) rows
+with the weights, which numpy evaluates row by row with the same dot kernel
+as a 1-D ``@``: a panel's integral does not depend on which panels share
+its call.  A 2-D matrix-vector product, ``einsum``, ``(y * w).sum``, a
+two-column weight matrix or Fortran-ordered rows sum in other orders and
+change the last bit of about half the rows.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -97,10 +99,7 @@ _WG = np.array([
 _NODES = np.concatenate([-_XGK[:7], _XGK[7:8], _XGK[6::-1]])
 _KRONROD_W = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
 _GAUSS_W = np.zeros(15)
-for _i, _w in zip((1, 3, 5), _WG[:3]):
-    _GAUSS_W[_i] = _w
-    _GAUSS_W[14 - _i] = _w
-_GAUSS_W[7] = _WG[3]
+_GAUSS_W[1::2] = np.concatenate([_WG, _WG[2::-1]])
 
 
 class UndecidedError(RuntimeError):
@@ -116,6 +115,8 @@ MAX_PANELS = 4096
 DIVERGENCE_WINDOW = 1e-2
 ENDPOINT_SHRINK = 0.5
 ENDPOINT_LEVELS = 48
+# Relative panel bounds of the ladder: level k spans shrink**(k+1)..shrink**k.
+_LADDER = ENDPOINT_SHRINK ** np.arange(ENDPOINT_LEVELS + 1.0)
 # Panel-sum ratios are fitted on this band of ladder levels; outside it
 # the asymptotics have not set in yet (low k) or floating-point
 # cancellation in the node positions pollutes the samples (high k).
@@ -139,8 +140,12 @@ class QuadratureConfig:
             raise ValueError("abs_tol must lie in (0, 1)")
 
 
-def _gk15(f: Callable, a: list[float], b: list[float]) -> tuple[list[float], list[float]]:
-    """Kronrod panels [a[i], b[i]] in one integrand call: (integrals, error estimates)."""
+def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Kronrod panels [a[i], b[i]] in one integrand call: (integrals, error estimates).
+
+    Both endpoint ladders of ``integrate_open`` share one call; each row is
+    reduced by a stacked matmul equal to its own 1-D dot (module docstring).
+    """
     lo = np.asarray(a, dtype=float)
     hi = np.asarray(b, dtype=float)
     half = 0.5 * (hi - lo)
@@ -148,15 +153,14 @@ def _gk15(f: Callable, a: list[float], b: list[float]) -> tuple[list[float], lis
     y = np.asarray(f(x.reshape(-1)), dtype=float)
     if y.shape != (x.size,):
         raise ValueError("integrand must map a vector of nodes to a vector of values")
-    y = y.reshape(x.shape)
-    finite = np.isfinite(y).all(axis=1)
+    rows = np.ascontiguousarray(y).reshape(-1, 15)
+    finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"integrand returned a non-finite value inside [{a[i]}, {b[i]}]")
-    halves = half.tolist()
-    kron = [h * float(_KRONROD_W @ row) for h, row in zip(halves, y)]
-    gauss = [h * float(_GAUSS_W @ row) for h, row in zip(halves, y)]
-    return kron, [abs(k - g) for k, g in zip(kron, gauss)]
+    kron = half * np.matmul(rows[:, None, :], _KRONROD_W)[:, 0]
+    gauss = half * np.matmul(rows[:, None, :], _GAUSS_W)[:, 0]
+    return kron.tolist(), np.abs(kron - gauss).tolist()
 
 
 def adaptive_quadrature(
@@ -222,30 +226,22 @@ class EndpointScan:
     levels: int
 
 
-def _endpoint_scan(f: Callable, start: float, direction: int, window: float) -> EndpointScan:
-    """Ladder of geometrically shrinking panels approaching ``start``.
-
-    direction +1 scans (start, start+window]; -1 scans [start-window, start).
-    Every level wider than the floating-point width floor is listed first,
-    then all of them are evaluated in one integrand call.
-    """
-    shrink = ENDPOINT_SHRINK
-    lows: list[float] = []
-    highs: list[float] = []
+def _ladder(start: float, direction: int, window: float) -> np.ndarray:
+    """Rows (lows, highs) of the panels shrinking toward ``start`` in (start,
+    start+window] (direction +1) or [start-window, start) (-1), outermost first,
+    up to the first level within the floating-point width floor."""
+    near = start + direction * window * _LADDER[1:]
+    far = start + direction * window * _LADDER[:-1]
+    lows, highs = (near, far) if direction > 0 else (far, near)
     scale = max(abs(start), abs(start + direction * window), 1.0)
-    for k in range(ENDPOINT_LEVELS):
-        outer = window * shrink**k
-        inner = window * shrink ** (k + 1)
-        if direction > 0:
-            pa, pb = start + inner, start + outer
-        else:
-            pa, pb = start - outer, start - inner
-        if pb - pa <= 8.0 * _EPS * scale:
-            break
-        lows.append(pa)
-        highs.append(pb)
-    sums, errs = _gk15(f, lows, highs) if lows else ([], [])
+    narrow = highs - lows <= 8.0 * _EPS * scale
+    levels = int(np.argmax(narrow)) if narrow.any() else ENDPOINT_LEVELS
+    return np.array([lows[:levels], highs[:levels]])
 
+
+def _endpoint_scan(sums: list[float], errs: list[float]) -> EndpointScan:
+    """Exponent fit and sum of one ladder's panels, outermost first; the panels
+    come from the ``_gk15`` call that ``integrate_open`` makes for both ladders."""
     levels = len(sums)
     peak = max((abs(s) for s in sums), default=0.0)
     if peak == 0.0:
@@ -260,7 +256,7 @@ def _endpoint_scan(f: Callable, start: float, direction: int, window: float) -> 
             log_ratios.append(math.log(s1 / s0))
     if len(log_ratios) >= 4:
         mean_log_ratio = math.fsum(log_ratios) / len(log_ratios)
-        exponent = 1.0 - mean_log_ratio / math.log(shrink)
+        exponent = 1.0 - mean_log_ratio / math.log(ENDPOINT_SHRINK)
     else:
         exponent = None
 
@@ -317,8 +313,11 @@ def integrate_open(
     if not (b > a):
         raise ValueError("integration bounds must satisfy a < b")
     window = DIVERGENCE_WINDOW * (b - a)
-    lower = _endpoint_scan(f, a, +1, window)
-    upper = _endpoint_scan(f, b, -1, window)
+    ladders = _ladder(a, +1, window), _ladder(b, -1, window)
+    lows, highs = np.concatenate(ladders, axis=1)
+    sums, errs = _gk15(f, lows, highs) if lows.size else ([], [])
+    n = ladders[0].shape[1]
+    lower, upper = _endpoint_scan(sums[:n], errs[:n]), _endpoint_scan(sums[n:], errs[n:])
     if lower.divergent or upper.divergent:
         return OpenResult("divergent", None, None, lower, upper)
     central_val, central_err = adaptive_quadrature(f, a + window, b - window, config)

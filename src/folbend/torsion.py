@@ -258,8 +258,8 @@ def classify(coeffs: TorsionCoefficients, tol: float = 1e-12) -> BlockFlags:
     The tolerance is relative to the max-magnitude coefficient, so exact
     zero input classifies as everything at once.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and nonnegative")
     thresh = tol * max(float(np.max(np.abs(block), initial=0.0))
                        for block in (coeffs.vertical, coeffs.horizontal))
     v = _classify_block(coeffs.vertical, thresh)

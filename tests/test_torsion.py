@@ -350,6 +350,16 @@ class TestClassify:
         assert classify(c, tol=1e-12).v_umbilical is False
         assert classify(c, tol=1e-8).v_umbilical is True
 
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf, -math.inf])
+    def test_rejects_invalid_tolerance(self, tol):
+        # NaN once gave six False flags on random blocks, and inf times the
+        # zero scale of all-zero blocks did the same.
+        random = random_coefficients(SplitDims(5, 2), seed=3)
+        zeros = TorsionCoefficients(SplitDims(4, 2), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+        for c in (random, zeros):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                classify(c, tol=tol)
+
 
 # Every public function on one coefficient object, as plain values.
 def all_answers(c):
