@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,7 +44,6 @@ __all__ = [
     "total_bending",
     "epsilon_deformed_bending",
     "torus_bending",
-    "torus_riemann_oracle",
     "complex_radial_bending",
     "complex_radial_density",
     "energy",
@@ -96,9 +96,19 @@ class EnergyResult:
 
 
 def _divergent_endpoint(open_result: OpenResult) -> str:
-    if open_result.divergent_lower and open_result.divergent_upper:
+    if open_result.lower.divergent and open_result.upper.divergent:
         return "both"
-    return "0" if open_result.divergent_lower else "mu"
+    return "0" if open_result.lower.divergent else "mu"
+
+
+@contextmanager
+def _overflow_is_undecided(prof: TubeProfile):
+    """A density of ``prof`` whose values or panel sums overflow is undecided."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise UndecidedError(f"the density of {prof.space.label} / {prof.focal.label} "
+                             f"overflows at this curvature scale: {exc}") from exc
 
 
 def _per_volume(
@@ -111,25 +121,25 @@ def _per_volume(
 
     The density is integrated over the open interval (0, mu), which can
     return a divergence verdict instead, or over the closed ``window``
-    inside it.  This is the only place that divides by the volume; a
-    volume that is not a positive normal float (the curvature scale is
-    too extreme for it) raises UndecidedError.
+    inside it.  This is the only place that divides by the volume; a density
+    that overflows or a volume that is not a normal float raises UndecidedError.
     """
-    if window is None:
-        res = integrate_open(density, 0.0, prof.mu, quad)
-        if res.status == "divergent":
-            return BendingResult(
-                status="divergent",
-                divergent_endpoint=_divergent_endpoint(res),
-                exponent_estimate=res.exponent_estimate,
-                mu=prof.mu,
-                branches=prof.branches,
-            )
-        val, err = res.value, res.error
-    else:
-        val, err = adaptive_quadrature(density, window[0], window[1], quad)
-    vol, vol_err = adaptive_quadrature(prof.theta, 0.0, prof.mu, quad)
-    if not (math.isfinite(vol) and vol >= sys.float_info.min):
+    with _overflow_is_undecided(prof):
+        if window is None:
+            res = integrate_open(density, 0.0, prof.mu, quad)
+            if res.status == "divergent":
+                return BendingResult(
+                    status="divergent",
+                    divergent_endpoint=_divergent_endpoint(res),
+                    exponent_estimate=res.exponent_estimate,
+                    mu=prof.mu,
+                    branches=prof.branches,
+                )
+            val, err = res.value, res.error
+        else:
+            val, err = adaptive_quadrature(density, window[0], window[1], quad)
+        vol, vol_err = adaptive_quadrature(prof.theta, 0.0, prof.mu, quad)
+    if vol < sys.float_info.min:
         raise UndecidedError(
             f"the volume integral {vol!r} of {prof.space.label} / {prof.focal.label} "
             "is not a positive normal float at this curvature scale"
@@ -184,16 +194,6 @@ def epsilon_deformed_bending(
     return _per_volume(prof, prof.bending_density, quad, window)
 
 
-def _check_torus_radii(big_radius: float, small_radius: float) -> None:
-    ok = (
-        math.isfinite(big_radius)
-        and math.isfinite(small_radius)
-        and 0 < small_radius < big_radius
-    )
-    if not ok:
-        raise ValueError("torus radii must satisfy 0 < small_radius < big_radius")
-
-
 def torus_bending(
     big_radius: float,
     small_radius: float,
@@ -209,7 +209,8 @@ def torus_bending(
     ``area_weighted`` switches to the variant with the surface area element
     r*(R + r cos t) dt dphi in the integrand.
     """
-    _check_torus_radii(big_radius, small_radius)
+    if not (math.isfinite(big_radius) and 0 < small_radius < big_radius):
+        raise ValueError("torus radii must satisfy 0 < small_radius < big_radius")
     R, r = big_radius, small_radius
 
     def integrand(t):
@@ -225,25 +226,6 @@ def torus_bending(
         upper_bound=2.0 * (math.pi / (R - r)) ** 2,
         area_weighted=area_weighted,
     )
-
-
-def torus_riemann_oracle(
-    big_radius: float,
-    small_radius: float,
-    nodes: int = 1_000_000,
-    *,
-    area_weighted: bool = False,
-) -> float:
-    """Brute-force midpoint Riemann sum for the torus bending integral."""
-    _check_torus_radii(big_radius, small_radius)
-    if nodes < 100:
-        raise ValueError("need at least 100 nodes")
-    R, r = big_radius, small_radius
-    t = (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
-    values = np.sin(t) ** 2 / (R + r * np.cos(t)) ** 2
-    if area_weighted:
-        values = values * r * (R + r * np.cos(t))
-    return math.pi * float(np.mean(values)) * 2.0 * math.pi
 
 
 def complex_radial_density(m: int, lam: float = 1.0):

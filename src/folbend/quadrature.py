@@ -34,9 +34,10 @@ E. de Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, *QUADPACK: A
 Subroutine Package for Automatic Integration*, Springer, 1983).
 
 The integrand contract: ``f`` maps a 1-D float array of any length to an
-array of the same shape, elementwise, and every value must be finite.  One
-call covers many panels: a whole endpoint ladder, or both children of a
-bisection, arrive as one flat array of 15 nodes per panel.
+array of the same shape, elementwise, and every value must be finite (else
+ValueError).  One call covers many panels: a whole endpoint ladder, or both
+children of a bisection, arrive as one flat array of 15 nodes per panel.  A
+summed value or error that overflows raises UndecidedError.
 
 All reductions happen in a fixed order (panels sorted by position, summed
 with math.fsum), so results do not depend on evaluation order.  Panel rows
@@ -104,7 +105,7 @@ _GAUSS_W[1::2] = np.concatenate([_WG, _WG[2::-1]])
 
 class UndecidedError(RuntimeError):
     """Raised when quadrature can neither converge nor classify a divergence,
-    or when a volume integral underflows so that no ratio can be formed."""
+    when an integral overflows, or when a volume integral underflows."""
 
 
 # Refinement budget of adaptive_quadrature.
@@ -163,6 +164,14 @@ def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list[flo
     return kron.tolist(), np.abs(kron - gauss).tolist()
 
 
+def _finite(value: float, error: float, a: float, b: float) -> tuple[float, float]:
+    """(value, error) of the integral over [a, b]; UndecidedError unless both are finite."""
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise UndecidedError(
+            f"the integral over [{a}, {b}] is not finite: value {value!r}, error {error!r}")
+    return value, error
+
+
 def adaptive_quadrature(
     f: Callable,
     a: float,
@@ -210,9 +219,7 @@ def adaptive_quadrature(
         tick += 2
 
     panels = sorted((entry[2], entry[4], -entry[0]) for entry in heap)
-    value = math.fsum(p[1] for p in panels)
-    error = math.fsum(p[2] for p in panels)
-    return value, error
+    return _finite(math.fsum(p[1] for p in panels), math.fsum(p[2] for p in panels), a, b)
 
 
 @dataclass(frozen=True)
@@ -239,6 +246,12 @@ def _ladder(start: float, direction: int, window: float) -> np.ndarray:
     return np.array([lows[:levels], highs[:levels]])
 
 
+def _log_ratios(sums: list[float], start: int, stop: int, floor: float) -> list[float]:
+    """log |sums[k+1] / sums[k]| for k in [start, stop) where both sums exceed floor."""
+    pairs = [(abs(sums[k]), abs(sums[k + 1])) for k in range(start, stop)]
+    return [math.log(s1 / s0) for s0, s1 in pairs if s0 > floor and s1 > floor]
+
+
 def _endpoint_scan(sums: list[float], errs: list[float]) -> EndpointScan:
     """Exponent fit and sum of one ladder's panels, outermost first; the panels
     come from the ``_gk15`` call that ``integrate_open`` makes for both ladders."""
@@ -247,13 +260,8 @@ def _endpoint_scan(sums: list[float], errs: list[float]) -> EndpointScan:
     if peak == 0.0:
         return EndpointScan(0.0, 0.0, None, False, levels)
 
-    lo = EXPONENT_FIT_START
-    hi = min(EXPONENT_FIT_STOP, levels - 1)
-    log_ratios = []
-    for k in range(lo, hi):
-        s0, s1 = abs(sums[k]), abs(sums[k + 1])
-        if s0 > 1e-13 * peak and s1 > 1e-13 * peak:
-            log_ratios.append(math.log(s1 / s0))
+    log_ratios = _log_ratios(sums, EXPONENT_FIT_START,
+                             min(EXPONENT_FIT_STOP, levels - 1), 1e-13 * peak)
     if len(log_ratios) >= 4:
         mean_log_ratio = math.fsum(log_ratios) / len(log_ratios)
         exponent = 1.0 - mean_log_ratio / math.log(ENDPOINT_SHRINK)
@@ -266,12 +274,9 @@ def _endpoint_scan(sums: list[float], errs: list[float]) -> EndpointScan:
 
     # Extrapolate the uncovered sliver next to the endpoint geometrically.
     tail = 0.0
-    tail_ratios = [abs(sums[k + 1]) / abs(sums[k])
-                   for k in range(max(0, levels - 4), levels - 1)
-                   if abs(sums[k]) > 0.0]
+    tail_ratios = _log_ratios(sums, max(0, levels - 4), levels - 1, 0.0)
     if tail_ratios and abs(sums[-1]) > 0.0:
-        ratio = min(0.9, math.exp(math.fsum(math.log(r) for r in tail_ratios)
-                                  / len(tail_ratios)))
+        ratio = min(0.9, math.exp(math.fsum(tail_ratios) / len(tail_ratios)))
         tail = sums[-1] * ratio / (1.0 - ratio)
     value = math.fsum(sums + [tail])
     error = math.fsum(errs) + abs(tail)
@@ -289,20 +294,9 @@ class OpenResult:
     upper: EndpointScan
 
     @property
-    def divergent_lower(self) -> bool:
-        return self.lower.divergent
-
-    @property
-    def divergent_upper(self) -> bool:
-        return self.upper.divergent
-
-    @property
     def exponent_estimate(self) -> Optional[float]:
-        candidates = [s.exponent for s in (self.lower, self.upper)
-                      if s.divergent and s.exponent is not None]
-        if candidates:
-            return max(candidates)
-        return None
+        # A divergent endpoint always has a fitted exponent.
+        return max((s.exponent for s in (self.lower, self.upper) if s.divergent), default=None)
 
 
 def integrate_open(
@@ -321,6 +315,6 @@ def integrate_open(
     if lower.divergent or upper.divergent:
         return OpenResult("divergent", None, None, lower, upper)
     central_val, central_err = adaptive_quadrature(f, a + window, b - window, config)
-    value = math.fsum([lower.value, central_val, upper.value])
-    error = lower.error + central_err + upper.error
+    value, error = _finite(math.fsum([lower.value, central_val, upper.value]),
+                           lower.error + central_err + upper.error, a, b)
     return OpenResult("finite", value, error, lower, upper)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from typing import Callable, Optional
@@ -53,15 +53,19 @@ class InitKind(Enum):
 
 @dataclass(frozen=True)
 class JacobiBranch:
+    """One Jacobi equation of a tube; the only place branch data is checked."""
+
     kappa: float
     multiplicity: int
     init: InitKind
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError("branch curvature must be finite and nonnegative")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("branch curvature must be finite and positive")
         if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
             raise ValueError("branch multiplicity must be a positive integer")
+        if not isinstance(self.init, InitKind):
+            raise ValueError(f"unknown initial condition {self.init!r}")
 
 
 class NotComputableError(ValueError):
@@ -87,17 +91,8 @@ def jacobi_solution(kappa: float, init: InitKind) -> tuple[Callable, Callable]:
     Both callables accept scalars or numpy arrays.  alpha = f'/f blows up
     where f vanishes; callers sample it only inside (0, first zero of f).
     """
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError("kappa must be finite and nonnegative")
-    if not isinstance(init, InitKind):
-        raise ValueError(f"unknown initial condition {init!r}")
+    JacobiBranch(kappa, 1, init)  # checks kappa > 0 and init
     normal = init is InitKind.NORMAL
-    if kappa == 0.0:
-        if normal:
-            return (lambda r: np.asarray(r, dtype=float) + 0.0,
-                    lambda r: 1.0 / np.asarray(r, dtype=float))
-        return (lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     s = math.sqrt(kappa)
     return (lambda r: _branch_f(s, normal, s * np.asarray(r, dtype=float)),
             lambda r: _branch_alpha(s, normal, s * np.asarray(r, dtype=float)))
@@ -146,7 +141,7 @@ class TubeProfile:
     ``theta(mu)`` vanishes except in the one cataloged case where the
     boundary leaf is a regular smooth leaf rather than a focal set (the
     antipodal cross-section of RP^m around a point); that case is marked by
-    ``boundary_leaf_regular``.  Every branch needs kappa > 0; all branches
+    ``boundary_leaf_regular``.  Every branch has kappa > 0; all branches
     are evaluated together as arrays derived from ``branches``.
     """
 
@@ -162,8 +157,6 @@ class TubeProfile:
     _mult: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(b.kappa == 0.0 for b in self.branches):
-            raise ValueError("tube profile branches need positive curvature")
         column = (len(self.branches), 1)
         for name, values in (
             ("_root", [math.sqrt(b.kappa) for b in self.branches]),
@@ -200,11 +193,6 @@ class TubeProfile:
         shape, x = self._x(r)
         return self._sums(x, 1).reshape(shape)
 
-    def sum_alpha_sq(self, r):
-        """Multiplicity-weighted sum of squared principal curvatures."""
-        shape, x = self._x(r)
-        return self._sums(x, 2).reshape(shape)
-
     def bending_density(self, r):
         """Integrand of the total bending against dr: 0.5 * sum m*alpha^2 * theta."""
         shape, x = self._x(r)
@@ -214,13 +202,6 @@ class TubeProfile:
         """Sum of pairwise products of principal curvatures (with multiplicity)."""
         shape, x = self._x(r)
         return (0.5 * (self._sums(x, 1) ** 2 - self._sums(x, 2))).reshape(shape)
-
-    def reordered(self, permutation) -> "TubeProfile":
-        """Same profile with branches listed in a different order."""
-        idx = list(permutation)
-        if sorted(idx) != list(range(len(self.branches))):
-            raise ValueError("permutation must reindex the branches exactly")
-        return replace(self, branches=tuple(self.branches[i] for i in idx))
 
     def samples(self, count: int = 200) -> np.ndarray:
         """Interior sample table: columns r, alpha per branch, theta."""

@@ -13,7 +13,6 @@ from folbend.bending import (
     complex_radial_bending,
     epsilon_deformed_bending,
     torus_bending,
-    torus_riemann_oracle,
     total_bending,
 )
 from folbend.bounds import (
@@ -36,6 +35,7 @@ from folbend.torsion import (
     umbilical_coefficients,
 )
 from folbend.tubes import InitKind, jacobi_ode_oracle, jacobi_solution, tube_profile
+from oracles import torus_riemann_oracle
 
 TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
 POINT = FocalVariety.point()

@@ -6,6 +6,7 @@ implementation existed, and is frozen: do not regenerate from the code
 under test.
 """
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,12 @@ from folbend.bending import (
     energy,
     epsilon_deformed_bending,
     torus_bending,
-    torus_riemann_oracle,
     total_bending,
 )
 from folbend.quadrature import QuadratureConfig
 from folbend.spaces import FocalVariety, ModelSpace, parse_focal, parse_space
 from folbend.tubes import NotComputableError, tube_profile
+from oracles import torus_riemann_oracle
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 POINT = FocalVariety.point()
@@ -85,7 +86,8 @@ class TestFiniteTable:
 
     def test_profile_reorder_does_not_change_value(self, monkeypatch):
         space, focal = parse_space("CP:3"), parse_focal("sub:CP:1")
-        shuffled = tube_profile(space, focal).reordered((2, 0, 1))
+        prof = tube_profile(space, focal)
+        shuffled = replace(prof, branches=tuple(prof.branches[i] for i in (2, 0, 1)))
         a = total_bending(space, focal, TIGHT)
         monkeypatch.setattr(folbend.bending, "tube_profile", lambda *_: shuffled)
         b = total_bending(space, focal, TIGHT)
@@ -223,12 +225,11 @@ class TestTorus:
         assert res.value == pytest.approx(oracle, rel=1e-6)
         assert res.value != pytest.approx(torus_bending(2.0, 1.0, TIGHT).value)
 
-    @pytest.mark.parametrize("R,r", [(1.0, 1.0), (1.0, 2.0), (0.0, -1.0), (2.0, 0.0)])
+    @pytest.mark.parametrize("R,r", [(1.0, 1.0), (1.0, 2.0), (0.0, -1.0), (2.0, 0.0),
+                                     (math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan)])
     def test_rejects_bad_radii(self, R, r):
         with pytest.raises(ValueError):
             torus_bending(R, r)
-        with pytest.raises(ValueError):
-            torus_riemann_oracle(R, r, nodes=100)
 
 
 class TestComplexRadial:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -382,6 +383,27 @@ def test_underflowing_volume_is_undecided(argv):
     assert proc.returncode == 3
     assert "undecided" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["bending", "--space", "S:200", "--lambda", "1e-5"],
+    ["bending", "--space", "S:200", "--lambda", "1e-5", "--epsilon", "0.5"],
+    ["check-integral", "--space", "S:200", "--lambda", "1e-5"],
+    ["minimizer", "--space", "S:200", "--lambda", "1e-5"],
+    ["complex-radial", "--m", "50", "--lambda", "1e-100"],
+    ["bending", "--space", "HP:3", "--lambda", "1e-200"],
+    ["table1", "--lambda", "1e-300"],
+    ["check-integral", "--space", "S:3", "--lambda", "1e-300"],
+    ["bending", "--space", "S:3", "--lambda", "1e-300"],
+])
+def test_overflowing_density_is_undecided(argv, capsys):
+    # The density or its panel integrals overflow at these curvature scales.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_main(argv, capsys)
+    assert code == 3
+    assert err.startswith("folbend: undecided: ") and err.count("\n") == 1
+    assert caught == []
 
 
 def test_high_dimensional_sphere(capsys):

@@ -1,12 +1,48 @@
 """The public surface is the modules' ``__all__``; the package itself re-exports nothing."""
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
 import folbend
 
-LIBRARY_MODULES = ("quadrature", "torsion", "spaces", "tubes", "bending", "bounds")
+# Each library module's public names, pinned so that a name is added or
+# dropped on purpose.
+PUBLIC = {
+    "quadrature": {
+        "QuadratureConfig", "UndecidedError", "EndpointScan", "OpenResult",
+        "adaptive_quadrature", "integrate_open",
+    },
+    "torsion": {
+        "SplitDims", "TorsionCoefficients", "DerivedTensors", "BlockFlags",
+        "random_coefficients", "umbilical_coefficients", "derive", "classify",
+        "mu_identity_residual", "sigma_inequality_slack", "mean_curvature_bound_slack",
+        "block_mean_curvature_slacks",
+    },
+    "spaces": {
+        "Family", "ModelSpace", "FocalVariety", "parse_space", "parse_focal",
+        "jacobi_spectrum", "ricci_curvature", "scalar_curvature", "mixed_scalar_curvature",
+    },
+    "tubes": {
+        "InitKind", "JacobiBranch", "TubeProfile", "NotComputableError", "jacobi_solution",
+        "jacobi_ode_oracle", "tube_profile", "write_profile_csv",
+    },
+    "bending": {
+        "BendingResult", "TorusResult", "EnergyResult", "total_bending",
+        "epsilon_deformed_bending", "torus_bending", "complex_radial_bending",
+        "complex_radial_density", "energy",
+    },
+    "bounds": {
+        "BoundCase", "LowerBound", "lower_bound", "einstein_lower_bound",
+        "IntegralCheckResult", "integral_formula_check", "DEFAULT_CHECK_PAIRS", "TableRow",
+        "Table1Report", "DEFAULT_TABLE_ROWS", "table1_report", "MinimizerReport",
+        "minimizer_report",
+    },
+}
+LIBRARY_MODULES = tuple(PUBLIC)
+SOURCES = sorted(Path(folbend.__file__).parent.glob("*.py"))
 
 
 def test_package_holds_only_its_version():
@@ -23,3 +59,33 @@ def test_every_listed_name_resolves(name):
     assert module.__all__
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_public_names_are_pinned(name):
+    module = importlib.import_module(f"folbend.{name}")
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == PUBLIC[name]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports (at any depth) but never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_leftovers():
+    source = "from dataclasses import dataclass, replace\n\n@dataclass\nclass A:\n    x: int\n"
+    assert unused_imports(source) == ["replace"]

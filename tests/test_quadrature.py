@@ -59,6 +59,11 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: np.full_like(x, np.inf), 0.0, 1.0, TIGHT)
 
+    def test_overflowing_panel_is_undecided(self):
+        # Every value is finite, but the panel integral is not.
+        with np.errstate(all="ignore"), pytest.raises(UndecidedError, match="not finite"):
+            adaptive_quadrature(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
+
 
 class TestOpenInterval:
     def test_integrable_power_singularity(self):
@@ -77,7 +82,7 @@ class TestOpenInterval:
     def test_log_divergence(self):
         res = integrate_open(lambda x: 1.0 / x, 0.0, 1.0, TIGHT)
         assert res.status == "divergent"
-        assert res.divergent_lower and not res.divergent_upper
+        assert res.lower.divergent and not res.upper.divergent
         assert res.exponent_estimate == pytest.approx(1.0, abs=1e-3)
 
     def test_quadratic_divergence(self):
@@ -88,13 +93,13 @@ class TestOpenInterval:
     def test_upper_endpoint_divergence(self):
         res = integrate_open(lambda x: 1.0 / (2.0 - x), 0.0, 2.0, TIGHT)
         assert res.status == "divergent"
-        assert res.divergent_upper and not res.divergent_lower
+        assert res.upper.divergent and not res.lower.divergent
         assert res.exponent_estimate == pytest.approx(1.0, abs=1e-3)
 
     def test_both_endpoints_divergent(self):
         res = integrate_open(lambda x: 1.0 / (x * (1.0 - x)), 0.0, 1.0, TIGHT)
         assert res.status == "divergent"
-        assert res.divergent_lower and res.divergent_upper
+        assert res.lower.divergent and res.upper.divergent
 
     def test_smooth_function_matches_closed_rule(self):
         res = integrate_open(np.cos, 0.0, 1.0, TIGHT)
@@ -106,6 +111,28 @@ class TestOpenInterval:
         res = integrate_open(lambda x: (1.0 + x) / x, 0.0, 1.0, TIGHT)
         assert res.status == "divergent"
         assert res.exponent_estimate == pytest.approx(1.0, abs=1e-2)
+
+    def test_overflowing_panel_is_undecided(self):
+        with np.errstate(all="ignore"), pytest.raises(UndecidedError, match="not finite"):
+            integrate_open(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
+
+    def test_zero_ladder_panel_before_the_last(self):
+        # Nonzero on ladder levels L-4 and L-1 only (and away from the ladder):
+        # the sliver extrapolation sees zero panel sums next to nonzero ones.
+        lows, highs = quadrature._ladder(0.0, +1, quadrature.DIVERGENCE_WINDOW)
+        levels = lows.size
+
+        def f(x):
+            on = x > 0.02
+            for k in (levels - 4, levels - 1):
+                on |= (x > lows[k]) & (x < highs[k])
+            return on.astype(float)
+
+        res = integrate_open(f, 0.0, 1.0)
+        assert res.status == "finite"
+        assert res.lower.exponent is None and res.lower.levels == levels
+        exact = 0.98 + (highs[levels - 4] - lows[levels - 4]) + (highs[-1] - lows[-1])
+        assert abs(res.value - exact) <= res.error
 
     def test_determinism(self):
         f = lambda x: np.sqrt(x) * np.cos(5 * x)

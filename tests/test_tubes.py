@@ -51,6 +51,11 @@ ORDERED_BRANCHES = [
 ]
 
 
+def sum_alpha_sq(prof, r):
+    """Multiplicity-weighted sum of squared principal curvatures, branch by branch."""
+    return sum(b.multiplicity * a**2 for b, a in zip(prof.branches, prof.alpha_values(r)))
+
+
 def central_derivative(func, r, h):
     # Fourth-order centered stencil keeps the truncation error far below
     # the identity tolerances at interior sample points.
@@ -71,14 +76,6 @@ class TestJacobiSolution:
         assert f(r) == pytest.approx(math.cos(s * r), rel=1e-15)
         assert alpha(r) == pytest.approx(-s * math.tan(s * r), rel=1e-14)
 
-    def test_flat_solutions(self):
-        f, alpha = jacobi_solution(0.0, InitKind.NORMAL)
-        assert f(2.0) == 2.0
-        assert alpha(2.0) == 0.5
-        f, alpha = jacobi_solution(0.0, InitKind.TANGENT)
-        assert f(2.0) == 1.0
-        assert alpha(2.0) == 0.0
-
     def test_vectorized(self):
         f, alpha = jacobi_solution(1.0, InitKind.NORMAL)
         r = np.array([0.1, 0.2, 0.4])
@@ -88,6 +85,31 @@ class TestJacobiSolution:
     def test_negative_curvature_rejected(self):
         with pytest.raises(ValueError):
             jacobi_solution(-1.0, InitKind.NORMAL)
+
+    @pytest.mark.parametrize("kappa", [0.0, math.inf, math.nan])
+    def test_curvature_must_be_finite_and_positive(self, kappa):
+        with pytest.raises(ValueError, match="branch curvature"):
+            jacobi_solution(kappa, InitKind.NORMAL)
+
+
+class TestJacobiBranch:
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.inf, math.nan])
+    def test_curvature_must_be_finite_and_positive(self, kappa):
+        with pytest.raises(ValueError, match="branch curvature"):
+            JacobiBranch(kappa, 1, InitKind.NORMAL)
+
+    @pytest.mark.parametrize("mult", [0, -1, 1.0])
+    def test_multiplicity_must_be_a_positive_int(self, mult):
+        with pytest.raises(ValueError, match="multiplicity"):
+            JacobiBranch(1.0, mult, InitKind.NORMAL)
+
+    @pytest.mark.parametrize("init", ["normal", "tangent", None])
+    def test_init_must_be_an_init_kind(self, init):
+        # A string used to pass and evaluate as a TANGENT branch.
+        with pytest.raises(ValueError, match="initial condition"):
+            JacobiBranch(1.0, 1, init)
+        with pytest.raises(ValueError, match="initial condition"):
+            jacobi_solution(1.0, init)
 
 
 class TestOdeOracle:
@@ -194,14 +216,18 @@ class TestCatalog:
         prof = tube_profile(parse_space("S:5"), parse_focal("sub:S:2"))
         r = 0.7
         expected = 2 * (1 / math.tan(r)) ** 2 + 2 * math.tan(r) ** 2
-        assert float(prof.sum_alpha_sq(r)) == pytest.approx(expected, rel=1e-13)
+        assert float(sum_alpha_sq(prof, r)) == pytest.approx(expected, rel=1e-13)
+        # The bending density is half the square sum times the density.
+        assert float(prof.bending_density(r)) == pytest.approx(
+            0.5 * expected * float(prof.theta(r)), rel=1e-13)
 
     def test_reordered_preserves_values(self):
         prof = tube_profile(parse_space("CP:3"), parse_focal("sub:CP:1"))
-        rev = prof.reordered(range(len(prof.branches))[::-1])
+        rev = replace(prof, branches=prof.branches[::-1])
         r = np.linspace(0.1, 1.4, 7)
         assert np.allclose(prof.theta(r), rev.theta(r), rtol=1e-14)
-        assert np.allclose(prof.sum_alpha_sq(r), rev.sum_alpha_sq(r), rtol=1e-14)
+        assert np.allclose(sum_alpha_sq(prof, r), sum_alpha_sq(rev, r), rtol=1e-14)
+        assert np.allclose(prof.bending_density(r), rev.bending_density(r), rtol=1e-14)
 
     def test_flat_branch_rejected(self):
         prof = tube_profile(parse_space("S:3"), POINT)
