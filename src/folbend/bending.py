@@ -106,7 +106,7 @@ def _overflow_is_undecided(prof: TubeProfile):
     """A density of ``prof`` whose values or panel sums overflow is undecided."""
     try:
         yield
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise UndecidedError(f"the density of {prof.space.label} / {prof.focal.label} "
                              f"overflows at this curvature scale: {exc}") from exc
 

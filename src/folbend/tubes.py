@@ -32,6 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .quadrature import UndecidedError
 from .spaces import Family, FocalVariety, ModelSpace
 
 __all__ = [
@@ -73,16 +74,12 @@ class NotComputableError(ValueError):
     spectral information this catalog quotes."""
 
 
-# Closed-form solutions of f'' + root**2 * f = 0 (root > 0) at x = root*r,
-# broadcast over branches: NORMAL rows (``normal`` true) have f = sin(x)/root
-# and alpha = f'/f = root*cot(x); TANGENT rows f = cos(x), alpha = -root*tan(x).
-def _branch_f(root, normal, x):
-    return np.where(normal, np.sin(x) / root, np.cos(x))
-
-
-def _branch_alpha(root, normal, x):
-    tan = np.tan(x)
-    return np.where(normal, root / tan, -root * tan)
+# Closed-form solutions (f, alpha = f'/f) of f'' + root**2 * f = 0 (root > 0)
+# at x = root*r, by initial condition.
+_CLOSED_FORMS = {
+    InitKind.NORMAL: (lambda root, x: np.sin(x) / root, lambda root, x: root / np.tan(x)),
+    InitKind.TANGENT: (lambda root, x: np.cos(x), lambda root, x: -root * np.tan(x)),
+}
 
 
 def jacobi_solution(kappa: float, init: InitKind) -> tuple[Callable, Callable]:
@@ -92,10 +89,10 @@ def jacobi_solution(kappa: float, init: InitKind) -> tuple[Callable, Callable]:
     where f vanishes; callers sample it only inside (0, first zero of f).
     """
     JacobiBranch(kappa, 1, init)  # checks kappa > 0 and init
-    normal = init is InitKind.NORMAL
+    f, alpha = _CLOSED_FORMS[init]
     s = math.sqrt(kappa)
-    return (lambda r: _branch_f(s, normal, s * np.asarray(r, dtype=float)),
-            lambda r: _branch_alpha(s, normal, s * np.asarray(r, dtype=float)))
+    return (lambda r: f(s, s * np.asarray(r, dtype=float)),
+            lambda r: alpha(s, s * np.asarray(r, dtype=float)))
 
 
 def jacobi_ode_oracle(kappa: float, init: InitKind, r: float, steps: int = 1024) -> float:
@@ -141,8 +138,8 @@ class TubeProfile:
     ``theta(mu)`` vanishes except in the one cataloged case where the
     boundary leaf is a regular smooth leaf rather than a focal set (the
     antipodal cross-section of RP^m around a point); that case is marked by
-    ``boundary_leaf_regular``.  Every branch has kappa > 0; all branches
-    are evaluated together as arrays derived from ``branches``.
+    ``boundary_leaf_regular``.  Every branch has kappa > 0; the branches
+    are evaluated as the rows of arrays derived from ``branches``.
     """
 
     space: ModelSpace
@@ -151,32 +148,40 @@ class TubeProfile:
     mu: float
     area_constant: Optional[float]
     boundary_leaf_regular: bool
-    # One row per branch, as columns that broadcast against the radii.
+    # One row per branch, as columns that broadcast against the radii, and
+    # each branch's closed forms.
     _root: np.ndarray = field(init=False, repr=False, compare=False)
-    _normal: np.ndarray = field(init=False, repr=False, compare=False)
     _mult: np.ndarray = field(init=False, repr=False, compare=False)
+    _forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         column = (len(self.branches), 1)
         for name, values in (
             ("_root", [math.sqrt(b.kappa) for b in self.branches]),
-            ("_normal", [b.init is InitKind.NORMAL for b in self.branches]),
             ("_mult", [float(b.multiplicity) for b in self.branches]),
         ):
-            object.__setattr__(self, name, np.reshape(values, column))
+            object.__setattr__(self, name, np.array(values).reshape(column))
+        object.__setattr__(self, "_forms", tuple(_CLOSED_FORMS[b.init] for b in self.branches))
 
     def _x(self, r) -> tuple[tuple, np.ndarray]:
         """Shape of r, and sqrt(kappa)*r per branch at the flattened radii."""
         r = np.asarray(r, dtype=float)
         return r.shape, self._root * r.reshape(-1)
 
+    def _branch(self, x, which: int) -> np.ndarray:
+        """f (which 0) or alpha (1) per branch at x, each row by its own closed form."""
+        return np.array([forms[which](root, row)
+                         for forms, root, row in zip(self._forms, self._root, x)])
+
     # Row by row in branch order: cheaper than a numpy axis reduction over so
-    # few rows, and rounded exactly like a loop over the branches.
+    # few rows, and rounded exactly like a loop over the branches.  The powers
+    # stay one stacked ``** self._mult``: a row raised to a scalar multiplicity
+    # of 2 would take numpy's square path, which rounds some values otherwise.
     def _theta(self, x):
-        return reduce(np.multiply, _branch_f(self._root, self._normal, x) ** self._mult)
+        return reduce(np.multiply, self._branch(x, 0) ** self._mult)
 
     def _sums(self, x, power):
-        return reduce(np.add, self._mult * _branch_alpha(self._root, self._normal, x) ** power)
+        return reduce(np.add, self._mult * self._branch(x, 1) ** power)
 
     def theta(self, r):
         """Volume density (up to the constant factor) at tube radius r."""
@@ -186,7 +191,7 @@ class TubeProfile:
     def alpha_values(self, r) -> np.ndarray:
         """Per-branch principal curvature values at tube radius r (one row each)."""
         shape, x = self._x(r)
-        return _branch_alpha(self._root, self._normal, x).reshape((len(self.branches),) + shape)
+        return self._branch(x, 1).reshape((len(self.branches),) + shape)
 
     def sum_alpha(self, r):
         """Multiplicity-weighted sum of principal curvatures (mean curvature)."""
@@ -212,6 +217,9 @@ class TubeProfile:
 
 
 def _build(space, focal, branch_data, mu, area_constant=None, regular=False) -> TubeProfile:
+    if any(math.isinf(k) for k, m, _ in branch_data if m > 0):
+        raise UndecidedError(f"the branch curvature 4*lambda of {space.label} / {focal.label} "
+                             f"overflows at lambda = {space.lam!r}")
     branches = tuple(JacobiBranch(k, m, i) for k, m, i in branch_data if m > 0)
     return TubeProfile(space, focal, branches, mu, area_constant, regular)
 
@@ -222,9 +230,10 @@ def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
     The branches of every family follow from n = ``space.dim`` and nu =
     ``space.invariant_count`` (A. Gray, *Tubes*, 2nd ed., 2004).
 
-    Raises ValueError for pairs outside the catalog and NotComputableError
+    Raises ValueError for pairs outside the catalog, NotComputableError
     for the two classical pairs whose tube data the catalog cannot supply
-    (RP^m in CP^m and CP^m in HP^m).
+    (RP^m in CP^m and CP^m in HP^m), and UndecidedError where the branch
+    curvature 4*lambda overflows.
     """
     lam, n, nu, m = space.lam, space.dim, space.invariant_count, space.m
     root = math.sqrt(lam)

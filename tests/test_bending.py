@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import folbend.bending
 from folbend.bending import (
@@ -22,10 +24,10 @@ from folbend.bending import (
     torus_bending,
     total_bending,
 )
-from folbend.quadrature import QuadratureConfig
+from folbend.quadrature import QuadratureConfig, adaptive_quadrature
 from folbend.spaces import FocalVariety, ModelSpace, parse_focal, parse_space
 from folbend.tubes import NotComputableError, tube_profile
-from oracles import torus_riemann_oracle
+from oracles import reference_adaptive, reference_open, torus_riemann_oracle
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 POINT = FocalVariety.point()
@@ -132,6 +134,21 @@ class TestCurvatureScaling:
         res = total_bending(parse_space("CP:2", 5.0), POINT, TIGHT)
         assert res.status == "divergent"
         assert res.divergent_endpoint == "mu"
+
+    def test_volume_meets_its_tolerance_past_a_gauss_sum_overflow(self):
+        # The first volume panel's Gauss sum overflows here; bisecting it
+        # turned the running error into NaN, which ended the refinement early.
+        lam = 5.1794746792311805e-11
+        space = parse_space("S:60", lam)
+        prof = tube_profile(space, POINT)
+        # theta = (sin(x) / sqrt(lam))**59 at x = sqrt(lam) r: Vol = lam**-30 * W(59)
+        exact = math.exp(0.5 * math.log(math.pi) + math.lgamma(30) - math.lgamma(30.5)
+                         - 30 * math.log(lam))
+        with np.errstate(over="ignore"):
+            vol, _ = adaptive_quadrature(prof.theta, 0.0, prof.mu)
+            res = total_bending(space, POINT)
+        assert abs(vol - exact) <= 1e-8 * exact
+        assert abs(res.value_per_volume - lam * 59 / 116) <= res.error_estimate
 
 
 def s2_deformed_closed_form(eps):
@@ -288,6 +305,40 @@ class TestEnergy:
     def test_torus_energy_unsupported(self):
         with pytest.raises(TypeError):
             energy(torus_bending(2.0, 1.0), 3)
+
+
+@st.composite
+def catalog_pairs(draw):
+    family = draw(st.sampled_from(["S", "RP", "CP", "HP", "CaP2"]))
+    if family == "CaP2":
+        return "CaP2", "point"
+    m = draw(st.integers(2, 12))
+    p = draw(st.integers(0, m - 1))
+    return f"{family}:{m}", "point" if p == 0 else f"sub:{family}:{p}"
+
+
+def _outcome(space, focal, quad):
+    try:
+        return total_bending(space, focal, quad)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestAgainstThePanelLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=catalog_pairs(), log_lam=st.floats(-3.0, 3.0),
+           rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+           abs_tol=st.sampled_from([1e-12, 1e-14]))
+    def test_total_bending_is_bit_identical(self, pair, log_lam, rel_tol, abs_tol):
+        # The library's batched, look-ahead quadrature against one integrand
+        # call per panel, each panel evaluated only when the refinement uses it.
+        space, focal = parse_space(pair[0], 10.0 ** log_lam), parse_focal(pair[1])
+        quad = QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+        result = _outcome(space, focal, quad)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(folbend.bending, "integrate_open", reference_open)
+            patch.setattr(folbend.bending, "adaptive_quadrature", reference_adaptive)
+            assert _outcome(space, focal, quad) == result
 
 
 class TestResultInvariants:

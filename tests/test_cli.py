@@ -406,6 +406,17 @@ def test_overflowing_density_is_undecided(argv, capsys):
     assert caught == []
 
 
+@pytest.mark.parametrize("argv, pair", [
+    (["bending", "--space", "CaP2", "--lambda", "1.7e308"], "CaP2 / point"),
+    (["complex-radial", "--m", "20", "--lambda", "1.7e308"], "CP:20 / point"),
+])
+def test_overflowing_branch_curvature_is_undecided(argv, pair, capsys):
+    # A valid lambda whose 4*lambda branch curvature is past the float range.
+    code, _, err = run_main(argv, capsys)
+    assert code == 3
+    assert err.startswith("folbend: undecided: ") and pair in err
+
+
 def test_high_dimensional_sphere(capsys):
     # gamma(n/2) overflows a float here; the unit-sphere area must not.
     code, out, _ = run_main(["bending", "--space", "S:400", "--json"], capsys)

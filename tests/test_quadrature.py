@@ -10,6 +10,8 @@ from folbend.quadrature import (
     adaptive_quadrature,
     integrate_open,
 )
+from oracles import kronrod_panel as _scalar_gk15
+from oracles import reference_adaptive, reference_open
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -64,6 +66,17 @@ class TestAdaptive:
         with np.errstate(all="ignore"), pytest.raises(UndecidedError, match="not finite"):
             adaptive_quadrature(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
 
+    def test_bisected_overflowing_panel_is_refined(self):
+        # The root panel's Gauss sum overflows (error inf) and its Kronrod sum
+        # does not; bisecting it takes the running error through inf - inf,
+        # which must not end the refinement.
+        f = lambda x: 0.85e308 * np.exp(-(((x - 8.0) / 0.05) ** 2))
+        with np.errstate(all="ignore"):
+            val, err = adaptive_quadrature(f, 0.0, 16.0)
+        exact = 0.85e308 * 0.05 * math.sqrt(math.pi)
+        assert abs(val - exact) <= 1e-8 * exact
+        assert abs(val - exact) <= err
+
 
 class TestOpenInterval:
     def test_integrable_power_singularity(self):
@@ -116,11 +129,16 @@ class TestOpenInterval:
         with np.errstate(all="ignore"), pytest.raises(UndecidedError, match="not finite"):
             integrate_open(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
 
+    def test_overflowing_ladder_sum_is_undecided(self):
+        # Each ladder panel sum is finite; their exact sum is past the float range.
+        with pytest.raises(UndecidedError, match="not finite"):
+            integrate_open(lambda x: np.where(x < 3, 0.8e308, 0.0), 0.0, 300.0)
+
     def test_zero_ladder_panel_before_the_last(self):
         # Nonzero on ladder levels L-4 and L-1 only (and away from the ladder):
         # the sliver extrapolation sees zero panel sums next to nonzero ones.
         lows, highs = quadrature._ladder(0.0, +1, quadrature.DIVERGENCE_WINDOW)
-        levels = lows.size
+        levels = len(lows)
 
         def f(x):
             on = x > 0.02
@@ -157,18 +175,6 @@ class TestConfigValidation:
         assert quadrature.DIVERGENCE_WINDOW == 1e-2
 
 
-def _scalar_gk15(f, a, b):
-    """Reference kernel: one Kronrod panel, one integrand call."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = np.asarray(f(center + half * quadrature._NODES), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"integrand returned a non-finite value inside [{a}, {b}]")
-    kron = half * float(quadrature._KRONROD_W @ y)
-    gauss = half * float(quadrature._GAUSS_W @ y)
-    return kron, abs(kron - gauss)
-
-
 def _panel_loop(f, a, b):
     """Stand-in for quadrature._gk15 that calls the reference kernel panel by panel."""
     pairs = [_scalar_gk15(f, pa, pb) for pa, pb in zip(a, b)]
@@ -187,6 +193,35 @@ class _Counting:
         return self.f(x)
 
 
+def _recording(monkeypatch):
+    """(value, error) by bounds of every panel the library's kernel evaluates."""
+    log = {}
+    kernel = quadrature._gk15
+
+    def run(f, a, b):
+        values, errors = kernel(f, a, b)
+        log.update(zip(zip(list(a), list(b)), zip(values, errors)))
+        return values, errors
+
+    monkeypatch.setattr(quadrature, "_gk15", run)
+    return log
+
+
+def _same_panels(log, reference_log):
+    """Every panel the reference evaluates, with the library's (value, error) for it."""
+    return {bounds: log.get(bounds) for bounds in reference_log} == reference_log
+
+
+def _max_later_calls(bisections):
+    """Most integrand calls after the first for this many bisections.
+
+    A call evaluates the two generations below a panel, so only a bisection
+    at an even depth >= 2 makes one, and each such panel needs a bisection
+    at the odd depth above it, which yields two: calls <= 2 (bisections - 1) / 3.
+    """
+    return 2 * max(bisections - 1, 0) // 3
+
+
 class TestBatchedPanels:
     @pytest.mark.parametrize("panels", [1, 2, 12, 48, 96])
     def test_rows_reduce_like_their_own_dot(self, panels):
@@ -203,19 +238,28 @@ class TestBatchedPanels:
             g = half * float(quadrature._GAUSS_W @ row)
             assert kron[i] == k and err[i] == abs(k - g)
 
-    def test_one_call_per_endpoint_ladder(self):
+    def test_one_call_per_endpoint_ladder(self, monkeypatch):
         f = _Counting(np.cos)
+        log, reference_log = _recording(monkeypatch), {}
         res = integrate_open(f, 0.0, 1.0, TIGHT)
+        assert res == reference_open(np.cos, 0.0, 1.0, TIGHT, reference_log)
+        assert _same_panels(log, reference_log)
+        levels = res.lower.levels + res.upper.levels
         assert res.lower.levels > 30 and res.upper.levels > 30
-        assert f.sizes[0] == 15 * (res.lower.levels + res.upper.levels)
-        # Then the central adaptive quadrature: one panel, then two per bisection.
-        assert f.sizes[1:] == [15] + [30] * (len(f.sizes) - 2)
+        # Both ladders, the central panel and two generations below it share
+        # the first call; each later call is two generations below one panel.
+        assert f.sizes[0] == 15 * (levels + 7)
+        assert f.sizes[1:] == [90] * (len(f.sizes) - 1)
+        bisections = (len(reference_log) - levels - 1) // 2
+        assert len(f.sizes) - 1 <= _max_later_calls(bisections)
 
     def test_divergent_ladder_calls_only_the_ladders(self):
         f = _Counting(lambda x: 1.0 / x)
         res = integrate_open(f, 0.0, 1.0, TIGHT)
         assert res.status == "divergent"
-        assert f.sizes == [15 * (res.lower.levels + res.upper.levels)]
+        assert res == reference_open(lambda x: 1.0 / x, 0.0, 1.0, TIGHT)
+        # One call, no refinement: the central panels in it are never used.
+        assert f.sizes == [15 * (res.lower.levels + res.upper.levels + 7)]
 
     def test_empty_ladder_makes_no_call(self):
         # Relative to 1e10 even the widest ladder panel is below the width floor.
@@ -227,35 +271,43 @@ class TestBatchedPanels:
     def test_adaptive_one_call_per_bisection(self, monkeypatch):
         f = lambda x: 1e-3 / (x**2 + 1e-6)
         batched = _Counting(f)
+        log, reference_log = _recording(monkeypatch), {}
         result = adaptive_quadrature(batched, -1.0, 1.0, TIGHT)
-        panel_by_panel = _Counting(f)
-        monkeypatch.setattr(quadrature, "_gk15", _panel_loop)
-        reference = adaptive_quadrature(panel_by_panel, -1.0, 1.0, TIGHT)
-        assert result == reference
-        bisections = (len(panel_by_panel.sizes) - 1) // 2
+        assert result == reference_adaptive(f, -1.0, 1.0, TIGHT, reference_log)
+        assert _same_panels(log, reference_log)
+        bisections = (len(reference_log) - 1) // 2
         assert bisections > 10
-        assert len(batched.sizes) == 1 + bisections
-        assert sum(batched.sizes) == sum(panel_by_panel.sizes)
+        assert batched.sizes[0] == 15 * 7 and set(batched.sizes[1:]) == {90}
+        assert len(batched.sizes) - 1 <= _max_later_calls(bisections)
 
     @pytest.mark.parametrize("f", [lambda x: x**-0.5, np.log, lambda x: 1.0 / x, np.cos],
                              ids=["x^-0.5", "log", "1/x", "cos"])
     def test_bit_identical_to_panel_loop(self, f, monkeypatch):
-        def recording(kernel, log):
-            def run(g, a, b):
-                out = kernel(g, a, b)
-                log.append((list(a), list(b), out))
-                return out
-            return run
-
-        batched_log, reference_log = [], []
-        monkeypatch.setattr(quadrature, "_gk15", recording(quadrature._gk15, batched_log))
+        log, reference_log = _recording(monkeypatch), {}
         result = integrate_open(f, 0.0, 1.0, TIGHT)
-        monkeypatch.setattr(quadrature, "_gk15", recording(_panel_loop, reference_log))
-        reference = integrate_open(f, 0.0, 1.0, TIGHT)
+        reference = reference_open(f, 0.0, 1.0, TIGHT, reference_log)
         # Ladder sums and errors, every central panel, and the fitted exponents.
-        assert batched_log == reference_log
+        assert _same_panels(log, reference_log)
         assert result == reference
         assert reference.lower.exponent is not None
+
+    def test_bad_value_in_an_unused_lookahead_panel_raises_nothing(self):
+        # 7 x**6 is exact on one panel, so no bisection uses the panels below
+        # it; the integrand is NaN at one node of the grandchild [0, 0.25].
+        bad = 0.125 + 0.125 * quadrature._NODES[3]
+        f = lambda x: np.where(x == bad, np.nan, 7 * x**6)
+        nodes = []
+        seen = lambda x: nodes.append(x.copy()) or f(x)
+        assert adaptive_quadrature(seen, 0.0, 1.0, TIGHT) == reference_adaptive(f, 0.0, 1.0, TIGHT)
+        assert bad in np.concatenate(nodes)
+        # A divergent ladder leaves the whole central subtree unused.
+        center = 0.5 * (0.01 + 0.99)
+        g = lambda x: np.where(x == center, np.inf, 1.0 / x)
+        nodes.clear()
+        seen = lambda x: nodes.append(x.copy()) or g(x)
+        reference = reference_open(lambda x: 1.0 / x, 0.0, 1.0, TIGHT)
+        assert integrate_open(seen, 0.0, 1.0, TIGHT) == reference
+        assert center in np.concatenate(nodes)
 
     def test_first_bad_ladder_panel_is_named(self, monkeypatch):
         # NaN below 1e-4: many ladder panels hold bad nodes; the outermost is named.

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -211,6 +212,28 @@ class TestCatalog:
         r = np.linspace(0.05 * prof.mu, 0.95 * prof.mu, 100)
         lhs = central_derivative(lambda x: np.log(prof.theta(x)), r, h)
         assert np.max(np.abs(lhs - prof.sum_alpha(r))) < 1e-8
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["catalog order", "reversed"])
+    @pytest.mark.parametrize("space,focal", CATALOG)
+    def test_rows_equal_the_stacked_closed_forms(self, space, focal, reverse):
+        # Reference: both closed forms on every row, one picked per row by
+        # np.where, and the multiplicities applied by one stacked power.
+        prof = tube_profile(space, focal)
+        if reverse:
+            prof = replace(prof, branches=prof.branches[::-1])
+        r = np.linspace(0.0, prof.mu, 202)[1:-1]
+        column = lambda values: np.array(values, dtype=float).reshape(-1, 1)
+        root = column([math.sqrt(b.kappa) for b in prof.branches])
+        normal = column([b.init is InitKind.NORMAL for b in prof.branches]) == 1.0
+        mult = column([b.multiplicity for b in prof.branches])
+        x = root * r
+        tan = np.tan(x)
+        alpha = np.where(normal, root / tan, -root * tan)
+        theta = reduce(np.multiply, np.where(normal, np.sin(x) / root, np.cos(x)) ** mult)
+        assert np.array_equal(prof.alpha_values(r), alpha)
+        assert np.array_equal(prof.theta(r), theta)
+        assert np.array_equal(prof.bending_density(r),
+                              0.5 * reduce(np.add, mult * alpha ** 2) * theta)
 
     def test_sum_alpha_sq_matches_branches(self):
         prof = tube_profile(parse_space("S:5"), parse_focal("sub:S:2"))
