@@ -253,11 +253,13 @@ class TestBatchedPanels:
         bisections = (len(reference_log) - levels - 1) // 2
         assert len(f.sizes) - 1 <= _max_later_calls(bisections)
 
-    def test_divergent_ladder_calls_only_the_ladders(self):
+    def test_divergent_ladder_calls_only_the_ladders(self, monkeypatch):
         f = _Counting(lambda x: 1.0 / x)
+        log, reference_log = _recording(monkeypatch), {}
         res = integrate_open(f, 0.0, 1.0, TIGHT)
         assert res.status == "divergent"
-        assert res == reference_open(lambda x: 1.0 / x, 0.0, 1.0, TIGHT)
+        assert res == reference_open(lambda x: 1.0 / x, 0.0, 1.0, TIGHT, reference_log)
+        assert _same_panels(log, reference_log)
         # One call, no refinement: the central panels in it are never used.
         assert f.sizes == [15 * (res.lower.levels + res.upper.levels + 7)]
 
@@ -283,13 +285,17 @@ class TestBatchedPanels:
     @pytest.mark.parametrize("f", [lambda x: x**-0.5, np.log, lambda x: 1.0 / x, np.cos],
                              ids=["x^-0.5", "log", "1/x", "cos"])
     def test_bit_identical_to_panel_loop(self, f, monkeypatch):
+        counted = _Counting(f)
         log, reference_log = _recording(monkeypatch), {}
-        result = integrate_open(f, 0.0, 1.0, TIGHT)
+        result = integrate_open(counted, 0.0, 1.0, TIGHT)
         reference = reference_open(f, 0.0, 1.0, TIGHT, reference_log)
         # Ladder sums and errors, every central panel, and the fitted exponents.
         assert _same_panels(log, reference_log)
         assert result == reference
         assert reference.lower.exponent is not None
+        levels = result.lower.levels + result.upper.levels
+        bisections = (len(reference_log) - levels - 1) // 2
+        assert len(counted.sizes) - 1 <= _max_later_calls(bisections)
 
     def test_bad_value_in_an_unused_lookahead_panel_raises_nothing(self):
         # 7 x**6 is exact on one panel, so no bisection uses the panels below
