@@ -13,27 +13,20 @@ pins c (geodesic spheres around points of S^m and RP^m, as long as c is a
 normal float).  The energy of the orthogonal unit vector field is
 E = (n/2) Vol + B.
 
-Divergence of the bending integral at either end of (0, mu) is detected by
-the open-interval quadrature and reported as a verdict with the fitted
-power-law exponent instead of a number.
+Divergence of the bending integral at either end of (0, mu) is decided
+by the exact endpoint orders of the tube profile and reported as a
+verdict instead of a number; a convergent ratio comes from one adaptive
+pass over both densities on shared panels.
 """
 from __future__ import annotations
 
 import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import (
-    OpenResult,
-    QuadratureConfig,
-    UndecidedError,
-    adaptive_quadrature,
-    integrate_open,
-)
+from .quadrature import QuadratureConfig, UndecidedError, adaptive_quadrature, ratio_quadrature
 from .spaces import Family, FocalVariety, ModelSpace
 from .tubes import InitKind, JacobiBranch, TubeProfile, jacobi_solution, tube_profile
 
@@ -57,7 +50,8 @@ class BendingResult:
     ``value_per_volume`` (and its error estimate); ``value``/``volume`` are
     the absolute numbers and are present only when the volume constant is
     part of the catalog.  Divergent results carry the endpoint ("0", "mu"
-    or "both") and the fitted power-law exponent instead.
+    or "both") and the power-law exponent of the density there instead,
+    which is exactly 1.0 for every cataloged divergence.
     """
 
     status: str
@@ -95,56 +89,57 @@ class EnergyResult:
     bending: BendingResult
 
 
-def _divergent_endpoint(open_result: OpenResult) -> str:
-    if open_result.lower.divergent and open_result.upper.divergent:
-        return "both"
-    return "0" if open_result.lower.divergent else "mu"
+def _divergence(prof: TubeProfile) -> Optional[BendingResult]:
+    """The verdict where the bending integral of ``prof`` diverges, else None."""
+    ends = [end for end, order in zip(("0", "mu"), prof.orders) if order == 1]
+    if not ends:
+        return None
+    return BendingResult(status="divergent", divergent_endpoint="both" if ends[1:] else ends[0],
+                         exponent_estimate=1.0, mu=prof.mu, branches=prof.branches)
 
 
-@contextmanager
-def _overflow_is_undecided(prof: TubeProfile):
-    """A density of ``prof`` whose values or panel sums overflow is undecided."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UndecidedError(f"the density of {prof.space.label} / {prof.focal.label} "
-                             f"overflows at this curvature scale: {exc}") from exc
+def _weighted_rows(prof: TubeProfile, weight: Callable) -> Callable:
+    """Integrand rows (weight * theta, theta) of ``prof`` at the radii r."""
+    def rows(r):
+        theta = prof.theta(r)
+        return np.array((weight(r) * theta, theta))
+    return rows
 
 
 def _per_volume(
     prof: TubeProfile,
-    density: Callable,
+    rows: Callable,
     quad: Optional[QuadratureConfig],
     window: Optional[tuple[float, float]] = None,
 ) -> BendingResult:
-    """Integral of ``density`` per unit volume of the profile, with its error.
+    """Integral of a density per unit volume of the profile, with its error.
 
-    The density is integrated over the open interval (0, mu), which can
-    return a divergence verdict instead, or over the closed ``window``
-    inside it.  This is the only place that divides by the volume; a density
-    that overflows or a volume that is not a normal float raises UndecidedError.
+    ``rows`` gives the density and theta at radii r, integrated over (0, mu)
+    on shared panels.  Outside a ``window`` the density is zero; its edges
+    are breakpoints, so every panel is smooth even where the density
+    diverges at an end.  A density that overflows or a volume that is not
+    a normal float raises UndecidedError.
     """
-    with _overflow_is_undecided(prof):
-        if window is None:
-            res = integrate_open(density, 0.0, prof.mu, quad)
-            if res.status == "divergent":
-                return BendingResult(
-                    status="divergent",
-                    divergent_endpoint=_divergent_endpoint(res),
-                    exponent_estimate=res.exponent_estimate,
-                    mu=prof.mu,
-                    branches=prof.branches,
-                )
-            val, err = res.value, res.error
-        else:
-            val, err = adaptive_quadrature(density, window[0], window[1], quad)
-        vol, vol_err = adaptive_quadrature(prof.theta, 0.0, prof.mu, quad)
-    if vol < sys.float_info.min:
-        raise UndecidedError(
-            f"the volume integral {vol!r} of {prof.space.label} / {prof.focal.label} "
-            "is not a positive normal float at this curvature scale"
-        )
-    ratio = val / vol
+    breaks, integrand = (0.0, prof.mu), rows
+    if window is not None:
+        w0, w1 = window
+        breaks = (0.0, w0, w1, prof.mu)
+
+        def integrand(r):
+            out = rows(r)
+            out[0] = np.where((r > w0) & (r < w1), out[0], 0.0)
+            return out
+
+    try:
+        ratio, error, val, vol = ratio_quadrature(integrand, breaks, quad)
+        if window is not None and w1 > w0:
+            # Each edge is rounded in r and again in x = sqrt(lam) * r: about
+            # two ulps, which move the numerator by the density there.
+            edge = np.abs(rows(np.array(window))[0])
+            error += 2.0 * (edge[0] * math.ulp(w0) + edge[1] * math.ulp(w1)) / vol
+    except ValueError as exc:  # a non-finite density value
+        raise UndecidedError(f"the density of {prof.space.label} / {prof.focal.label} "
+                             f"overflows at this curvature scale: {exc}") from exc
     absolute = volume = None
     if prof.area_constant is not None:
         absolute = prof.area_constant * val
@@ -152,7 +147,7 @@ def _per_volume(
     return BendingResult(
         status="finite",
         value_per_volume=ratio,
-        error_estimate=(err + abs(ratio) * vol_err) / vol,
+        error_estimate=error,
         value=absolute,
         volume=volume,
         mu=prof.mu,
@@ -167,7 +162,7 @@ def total_bending(
 ) -> BendingResult:
     """Total bending per unit volume of the radial/tubular foliation."""
     prof = tube_profile(space, focal)
-    return _per_volume(prof, prof.bending_density, quad)
+    return _divergence(prof) or _per_volume(prof, prof.bending_rows, quad)
 
 
 def epsilon_deformed_bending(
@@ -186,12 +181,12 @@ def epsilon_deformed_bending(
     """
     if not (0.0 <= epsilon <= math.pi / 2.0):
         raise ValueError("epsilon must lie in [0, pi/2]")
+    if epsilon == math.pi / 2.0:
+        return total_bending(space, focal, quad)
     prof = tube_profile(space, focal)
-    window = None
-    if epsilon < math.pi / 2.0:
-        window = (prof.mu * (math.pi - 2.0 * epsilon) / (2.0 * math.pi),
-                  prof.mu * (math.pi + 2.0 * epsilon) / (2.0 * math.pi))
-    return _per_volume(prof, prof.bending_density, quad, window)
+    window = (prof.mu * (math.pi - 2.0 * epsilon) / (2.0 * math.pi),
+              prof.mu * (math.pi + 2.0 * epsilon) / (2.0 * math.pi))
+    return _per_volume(prof, prof.bending_rows, quad, window)
 
 
 def torus_bending(
@@ -252,11 +247,12 @@ def complex_radial_bending(
     """Total bending per unit volume of the complex radial foliation on CP^m.
 
     The leaves are totally geodesic invariant surfaces, so only the
-    horizontal shear enters; the integral is finite for every m >= 2.
+    horizontal shear enters, the lam branch's cot, bounded at mu: the
+    integral is finite for every m >= 2, whatever the bending orders say.
     """
     density = complex_radial_density(m, lam)  # validates m and lam
     prof = tube_profile(ModelSpace(Family.COMPLEX_PROJECTIVE, m, lam), FocalVariety.point())
-    return _per_volume(prof, lambda r: density(r) * prof.theta(r), quad)
+    return _per_volume(prof, _weighted_rows(prof, density), quad)
 
 
 def energy(bending: BendingResult, n: int) -> EnergyResult:

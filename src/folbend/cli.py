@@ -108,9 +108,8 @@ def _emit_json(context: dict, result=None) -> None:
 
 
 def _divergent_line(res) -> str:
-    exp = res.exponent_estimate
-    kind = "log" if exp is not None and 0.9 <= exp <= 1.1 else f"exponent ~ {exp:.2f}"
-    return f"Divergent ({kind}) at r={res.divergent_endpoint}"
+    # Every cataloged divergence is logarithmic (exponent_estimate 1.0).
+    return f"Divergent (log) at r={res.divergent_endpoint}"
 
 
 def _print_bending_human(label: str, res) -> None:
@@ -364,7 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     quad_parent.add_argument("--rel-tol", type=float, default=None,
                              help="relative quadrature tolerance (FOLBEND_REL_TOL)")
     quad_parent.add_argument("--abs-tol", type=float, default=None,
-                             help="absolute quadrature tolerance (FOLBEND_ABS_TOL)")
+                             help="absolute tolerance on B/Vol, or on the torus integral "
+                                  "(FOLBEND_ABS_TOL)")
 
     lam_parent = argparse.ArgumentParser(add_help=False)
     lam_parent.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -375,7 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="print a machine-readable JSON document")
 
     p = sub.add_parser("bending", parents=[quad_parent, lam_parent, json_parent],
-                       help="total bending of a radial/tubular foliation")
+                       help="total bending of a radial/tubular foliation",
+                       description="B/Vol of a radial/tubular foliation, or the verdict that "
+                       "it diverges, decided by the exact endpoint orders of the tube "
+                       "(exponent_estimate 1.0: every cataloged divergence is logarithmic).")
     p.add_argument("--space", required=True, help="ambient space label, e.g. S:5 or CaP2")
     p.add_argument("--focal", default="point", help="focal variety: point or sub:S:2")
     p.add_argument("--epsilon", type=float, default=None,

@@ -1,6 +1,6 @@
-"""Adaptive Gauss-Kronrod quadrature with endpoint-singularity analysis.
+"""Adaptive Gauss-Kronrod quadrature, of one integral or of a ratio of two.
 
-Two entry points:
+Three entry points:
 
 ``adaptive_quadrature``
     Globally adaptive bisection with a 15-point Kronrod rule (embedded
@@ -8,6 +8,11 @@ Two entry points:
     are bounded on the closed interval; nodes are strictly interior, so a
     removable endpoint blow-up of the *formula* (0/0 at the boundary) is
     harmless as long as the integrand stays bounded where it is sampled.
+
+``ratio_quadrature``
+    The same refinement of a numerator and a denominator on shared panels,
+    to the tolerance of their ratio (a vector-valued adaptive rule after
+    A. C. Genz and A. A. Malik, *J. Comput. Appl. Math.* 6, 1980).
 
 ``integrate_open``
     Integrates over an open interval whose endpoints may carry power-law
@@ -22,39 +27,43 @@ Two entry points:
     above ``DIVERGENCE_THRESHOLD`` is reported so.  The fit is what decides
     divergence -- never exhaustion of the refinement depth.  For convergent
     endpoints, the ladder is summed and the remaining sliver is
-    extrapolated geometrically.
+    extrapolated geometrically.  No catalog path uses it.
 
 Only the tolerances are settable (``QuadratureConfig``); the refinement
-budget of ``adaptive_quadrature`` (``MAX_DEPTH`` bisections of a panel,
-``MAX_PANELS`` panels) and the endpoint policy above are module constants.
+budget (``MAX_DEPTH`` bisections of a panel, ``MAX_PANELS`` panels) and
+the endpoint policy above are module constants.
 
-Both entry points use the 15-point Gauss-Kronrod rule with its embedded
+All entry points use the 15-point Gauss-Kronrod rule with its embedded
 7-point Gauss rule, the QK15 rule of QUADPACK (R. Piessens,
 E. de Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, *QUADPACK: A
 Subroutine Package for Automatic Integration*, Springer, 1983).
 
-The integrand contract: ``f`` maps a 1-D float array of any length to an
-array of the same shape, elementwise.  One call covers many panels, 15 nodes
-each: both endpoint ladders with the central interval and ``_LOOKAHEAD``
-generations of its bisections, or those generations below a bisected panel.
-So panels may be evaluated before they are needed, or never be needed.  A
-non-finite value raises ValueError, naming the first such panel, only in a
-panel the result uses.  A summed value or error that overflows raises
-UndecidedError.
+The integrand contract: ``f`` maps a 1-D float array of any length N to
+shape (N,), elementwise, or for ``ratio_quadrature`` to two such rows,
+shape (2, N).  One call covers many panels, 15 nodes each: the starting
+panels and ``_LOOKAHEAD`` generations of their bisections (with both
+endpoint ladders, for ``integrate_open``), or those generations below a
+bisected panel.  So panels may be evaluated before they are needed, or
+never be needed.  A non-finite value raises ValueError, naming the first
+such panel, only in a panel the result uses.  A summed value or error that
+overflows raises UndecidedError, and so do values near the float maximum
+even where the integral is representable (a panel's values are summed
+before the half-width scales them): never a number.
 
 All reductions happen in a fixed order (panels sorted by position, summed
 with math.fsum), so results do not depend on evaluation order.  Panel rows
 of 15 values are reduced by one ``np.matmul`` of the stacked (1 x 15) rows
 with the weights, which numpy evaluates row by row with the same dot kernel
-as a 1-D ``@``: a panel's integral does not depend on which panels share
-its call.  A 2-D matrix-vector product, ``einsum``, ``(y * w).sum``, a
-two-column weight matrix or Fortran-ordered rows sum in other orders and
-change the last bit of about half the rows.
+as a 1-D ``@``: a panel's integral does not depend on which panels, or
+which rows, share its call.  A 2-D matrix-vector product, ``einsum``,
+``(y * w).sum``, a two-column weight matrix or Fortran-ordered rows sum in
+other orders and change the last bit of about half the rows.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -66,6 +75,7 @@ __all__ = [
     "EndpointScan",
     "OpenResult",
     "adaptive_quadrature",
+    "ratio_quadrature",
     "integrate_open",
 ]
 
@@ -144,11 +154,12 @@ class QuadratureConfig:
             raise ValueError("abs_tol must lie in (0, 1)")
 
 
-def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list, list[float]]:
+def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list, list]:
     """Kronrod panels [a[i], b[i]] in one integrand call: (integrals, error estimates).
 
-    Each row is reduced by a stacked matmul equal to its own 1-D dot (module
-    docstring).  A panel with a non-finite integrand value gets the integral
+    A float per panel for a one-row integrand, a pair for two rows.  Each row
+    is reduced by a stacked matmul equal to its own 1-D dot (module
+    docstring).  A panel with a non-finite value in any row gets the integral
     None, for which the caller raises ``_not_finite`` if it uses the panel.
     """
     lo = np.asarray(a, dtype=float)
@@ -156,19 +167,22 @@ def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list, li
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     y = np.asarray(f(x.reshape(-1)), dtype=float)
-    if y.shape != (x.size,):
-        raise ValueError("integrand must map a vector of nodes to a vector of values")
+    if y.shape not in ((x.size,), (2, x.size)):
+        raise ValueError("integrand must map a vector of nodes to a vector of values, "
+                         "or to two rows of them")
     rows = np.ascontiguousarray(y).reshape(-1, 15)
     bad = []
     if not np.isfinite(y).all():  # reduce the bad rows as zeros, without warnings
         finite = np.isfinite(rows).all(axis=1)
-        bad, rows = np.flatnonzero(~finite).tolist(), np.where(finite[:, None], rows, 0.0)
-    kron = half * np.matmul(rows[:, None, :], _KRONROD_W)[:, 0]
-    gauss = half * np.matmul(rows[:, None, :], _GAUSS_W)[:, 0]
-    integrals = kron.tolist()
+        bad = np.flatnonzero(~finite.reshape(-1, lo.size).all(axis=0)).tolist()
+        rows = np.where(finite[:, None], rows, 0.0)
+    kron = np.matmul(rows[:, None, :], _KRONROD_W)[:, 0].reshape(-1, lo.size) * half
+    gauss = np.matmul(rows[:, None, :], _GAUSS_W)[:, 0].reshape(-1, lo.size) * half
+    integrals, errors = (v[0] if y.ndim == 1 else list(zip(*v))
+                         for v in (kron.tolist(), np.abs(kron - gauss).tolist()))
     for i in bad:
         integrals[i] = None
-    return integrals, np.abs(kron - gauss).tolist()
+    return integrals, errors
 
 
 def _not_finite(a: float, b: float) -> ValueError:
@@ -206,9 +220,21 @@ def _subtree(a: float, b: float) -> tuple[list[float], list[float]]:
     return lows, highs
 
 
-def _panels(f: Callable, lows: list[float], highs: list[float]) -> dict:
-    """(integral, error) of the panels of one ``_gk15`` call by their bounds (left, right)."""
-    return dict(zip(zip(lows, highs), zip(*_gk15(f, lows, highs))))
+def _by_bounds(lows: list[float], highs: list[float], integrals: list, errors: list,
+               rows: int) -> dict:
+    """(integrals, errors) of panels by their bounds (left, right), as pairs:
+    a one-row integrand's second row is zero."""
+    if isinstance(errors[0], tuple) != (rows == 2):
+        raise ValueError(f"integrand must return {rows} row(s) of values")
+    if rows == 1:
+        integrals = [v if v is None else (v, 0.0) for v in integrals]
+        errors = [(e, 0.0) for e in errors]
+    return dict(zip(zip(lows, highs), zip(integrals, errors)))
+
+
+def _panels(f: Callable, lows: list[float], highs: list[float], rows: int) -> dict:
+    """``_by_bounds`` of the panels of one ``_gk15`` call."""
+    return _by_bounds(lows, highs, *_gk15(f, lows, highs), rows)
 
 
 def adaptive_quadrature(
@@ -229,53 +255,99 @@ def adaptive_quadrature(
         if b == a:
             return 0.0, 0.0
         raise ValueError("integration bounds must satisfy a <= b")
-    return _refine(f, a, b, config, _panels(f, *_subtree(a, b)))
+    return _refine(f, [(a, b)], config, _panels(f, *_subtree(a, b), 1), 1)[0]
 
 
-def _refine(f: Callable, a: float, b: float, config: QuadratureConfig,
-            known: dict) -> tuple[float, float]:
-    """The bisection loop of ``adaptive_quadrature``; ``known`` holds the
-    (integral, error) of [a, b] and of any panels evaluated ahead, by bounds."""
+def ratio_quadrature(
+    f: Callable,
+    breakpoints: Sequence[float],
+    config: Optional[QuadratureConfig] = None,
+) -> tuple[float, float, float, float]:
+    """(ratio, its error estimate, numerator, denominator) of the two rows of
+    f, shape (2, N), integrated on shared panels from those between the
+    breakpoints, where a row may have kinks.  The refinement stops when
+    E_num + w E_den <= den max(abs_tol, rel_tol |ratio|), w = max(|ratio|,
+    abs_tol / rel_tol): ``abs_tol`` bounds the ratio, and the denominator
+    meets ``rel_tol`` on its own.  The estimate (E_num + |ratio| E_den) / den
+    adds the rounding floor of the refinement, 64 eps |ratio|.  Raises
+    UndecidedError like ``adaptive_quadrature``, and for a denominator that
+    is not a positive normal float.
+    """
+    config = config or QuadratureConfig()
+    intervals = list(zip(breakpoints[:-1], breakpoints[1:]))
+    if not intervals or not all(hi >= lo for lo, hi in intervals):
+        raise ValueError("breakpoints must be at least two and nondecreasing")
+    lows, highs = (sum(bounds, []) for bounds in zip(*(_subtree(*iv) for iv in intervals)))
+    (num, num_err), (den, den_err) = _refine(f, intervals, config, _panels(f, lows, highs, 2), 2)
+    if not den >= sys.float_info.min:
+        raise UndecidedError(f"the denominator integral {den!r} over [{breakpoints[0]}, "
+                             f"{breakpoints[-1]}] is not a positive normal float")
+    ratio = num / den
+    error = (num_err + abs(ratio) * den_err) / den + 64.0 * _EPS * abs(ratio)
+    return (*_finite(ratio, error, breakpoints[0], breakpoints[-1]), num, den)
+
+
+def _refine(f: Callable, intervals: list[tuple[float, float]], config: QuadratureConfig,
+            known: dict, rows: int) -> list[tuple[float, float]]:
+    """The bisection loop: (integral, error) of each row over ``intervals``,
+    from those panels; ``known`` holds the (integrals, errors) pairs of them
+    and of panels evaluated ahead.  A panel weighs e_0 + w e_1: w as in
+    ``ratio_quadrature`` for two rows, 0 for the zero second row of one."""
     rel, absol = config.rel_tol, config.abs_tol
+    a, b = intervals[0][0], intervals[-1][1]
     width_floor = (b - a) * 2.0 ** (-MAX_DEPTH)
-    val, err = known.pop((a, b))
-    if val is None:
-        raise _not_finite(a, b)
-    # Heap entries: (-error, tiebreak, left, right, value).
-    heap = [(-err, 0, a, b, val)]
-    tick = 1
-    total_val = val
-    total_err = err
-    sum_abs = abs(val)
+    # Heap entries: (-weighted error, tiebreak, left, right, integrals, errors).
+    heap = [(0.0, tick, pa, pb, *known.pop((pa, pb))) for tick, (pa, pb) in enumerate(intervals)]
+    bad = next((entry for entry in heap if entry[4] is None), None)
+    if bad:
+        raise _not_finite(bad[2], bad[3])
+    tick = len(heap)
 
-    while total_err > max(absol, rel * abs(total_val), 32.0 * _EPS * sum_abs):
-        neg_err, _, pa, pb, pval = heapq.heappop(heap)
-        perr = -neg_err
+    def totals():  # integrals, errors and absolute integrals over the heap
+        return [[sum(e[j][i] for e in heap) for i in (0, 1)] for j in (4, 5)] + [
+            [sum(abs(e[4][i]) for e in heap) for i in (0, 1)]]
+
+    def scales():  # the target of the tolerance, its denominator, and w
+        if rows == 1:
+            return v0, 1.0, 0.0
+        ratio = v0 / v1 if v1 else math.nan
+        return ratio, abs(v1), max(abs(ratio), absol / rel)
+
+    (v0, v1), (e0, e1), (s0, s1) = totals()
+    target, den, w = scales()
+    heap = [(-(err[0] + w * err[1]), *entry[1:5], err) for *entry, err in heap]
+    heapq.heapify(heap)
+
+    while e0 + w * e1 > max(den * absol, den * (rel * abs(target)), 32.0 * _EPS * (s0 + w * s1)):
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
         if pb - pa <= width_floor or len(heap) + 2 > MAX_PANELS:
             raise UndecidedError(
                 "quadrature did not converge within the refinement budget "
-                f"(residual error {total_err:.3e} on [{a}, {b}])"
+                f"(residual error {e0 + w * e1:.3e} on [{a}, {b}])"
             )
         mid = 0.5 * (pa + pb)
         if (pa, mid) not in known:  # evaluate the generations below this panel
             lows, highs = _subtree(pa, pb)
-            known.update(_panels(f, lows[1:], highs[1:]))
-        (v1, e1), (v2, e2) = known.pop((pa, mid)), known.pop((mid, pb))
-        if v1 is None or v2 is None:
-            raise _not_finite(pa, mid) if v1 is None else _not_finite(mid, pb)
-        total_val += (v1 + v2) - pval
-        total_err += (e1 + e2) - perr
-        sum_abs += abs(v1) + abs(v2) - abs(pval)
-        heapq.heappush(heap, (-e1, tick, pa, mid, v1))
-        heapq.heappush(heap, (-e2, tick + 1, mid, pb, v2))
+            known.update(_panels(f, lows[1:], highs[1:], rows))
+        (x, ex), (y, ey) = known.pop((pa, mid)), known.pop((mid, pb))
+        if x is None or y is None:
+            raise _not_finite(pa, mid) if x is None else _not_finite(mid, pb)
+        v0 += (x[0] + y[0]) - pval[0]
+        v1 += (x[1] + y[1]) - pval[1]
+        e0 += (ex[0] + ey[0]) - perr[0]
+        e1 += (ex[1] + ey[1]) - perr[1]
+        s0 += abs(x[0]) + abs(y[0]) - abs(pval[0])
+        s1 += abs(x[1]) + abs(y[1]) - abs(pval[1])
+        heapq.heappush(heap, (-(ex[0] + w * ex[1]), tick, pa, mid, x, ex))
+        heapq.heappush(heap, (-(ey[0] + w * ey[1]), tick + 1, mid, pb, y, ey))
         tick += 2
-        if math.isnan(total_err):  # an overflowing panel was bisected (inf - inf)
-            total_val = sum(entry[4] for entry in heap)
-            total_err = sum(-entry[0] for entry in heap)
-            sum_abs = sum(abs(entry[4]) for entry in heap)
+        if math.isnan(e0) or math.isnan(e1):  # an overflowing panel was bisected (inf - inf)
+            (v0, v1), (e0, e1), (s0, s1) = totals()
+        target, den, w = scales()
 
-    panels = sorted((entry[2], entry[4], -entry[0]) for entry in heap)
-    return _finite(_fsum([p[1] for p in panels]), _fsum([p[2] for p in panels]), a, b)
+    panels = sorted((entry[2], entry[4], entry[5]) for entry in heap)
+    return [_finite(_fsum([p[1][i] for p in panels]), _fsum([p[2][i] for p in panels]), a, b)
+            for i in range(rows)]
 
 
 @dataclass(frozen=True)
@@ -375,8 +447,8 @@ def integrate_open(
     upper = _endpoint_scan(sums[n_lo:n], errs[n_lo:n])
     if lower.divergent or upper.divergent:
         return OpenResult("divergent", None, None, lower, upper)
-    known = dict(zip(zip(c_lows, c_highs), zip(sums[n:], errs[n:])))
-    central_val, central_err = _refine(f, ca, cb, config, known)
+    known = _by_bounds(c_lows, c_highs, sums[n:], errs[n:], 1)
+    central_val, central_err = _refine(f, [(ca, cb)], config, known, 1)[0]
     value, error = _finite(_fsum([lower.value, central_val, upper.value]),
                            lower.error + central_err + upper.error, a, b)
     return OpenResult("finite", value, error, lower, upper)

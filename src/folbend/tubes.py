@@ -28,6 +28,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -147,7 +148,10 @@ class TubeProfile:
     branches: tuple[JacobiBranch, ...]
     mu: float
     area_constant: Optional[float]
-    boundary_leaf_regular: bool
+    # (Z_0, Z_mu): multiplicity of the branches vanishing at r = 0 and at mu.
+    # There theta ~ d**Z and sum m alpha**2 ~ d**-2 (Z >= 1), so the bending
+    # integral diverges, logarithmically, exactly at an end with Z = 1.
+    orders: tuple[int, int]
     # One row per branch, as columns that broadcast against the radii, and
     # each branch's closed forms.
     _root: np.ndarray = field(init=False, repr=False, compare=False)
@@ -162,6 +166,10 @@ class TubeProfile:
         ):
             object.__setattr__(self, name, np.array(values).reshape(column))
         object.__setattr__(self, "_forms", tuple(_CLOSED_FORMS[b.init] for b in self.branches))
+
+    @property
+    def boundary_leaf_regular(self) -> bool:
+        return self.orders[1] == 0
 
     def _x(self, r) -> tuple[tuple, np.ndarray]:
         """Shape of r, and sqrt(kappa)*r per branch at the flattened radii."""
@@ -198,15 +206,26 @@ class TubeProfile:
         shape, x = self._x(r)
         return self._sums(x, 1).reshape(shape)
 
+    def bending_rows(self, r) -> np.ndarray:
+        """Rows (bending density, theta) at the flattened radii r, from one evaluation."""
+        _, x = self._x(r)
+        theta = self._theta(x)
+        return np.array((0.5 * self._sums(x, 2) * theta, theta))
+
     def bending_density(self, r):
         """Integrand of the total bending against dr: 0.5 * sum m*alpha^2 * theta."""
-        shape, x = self._x(r)
-        return (0.5 * self._sums(x, 2) * self._theta(x)).reshape(shape)
+        return self.bending_rows(r)[0].reshape(np.shape(r))
 
     def second_mean_curvature(self, r):
-        """Sum of pairwise products of principal curvatures (with multiplicity)."""
+        """Sum of pairwise products of principal curvatures (with multiplicity),
+        pair by pair: 0.5 ((sum m alpha)**2 - sum m alpha**2) cancels d**-2 terms."""
         shape, x = self._x(r)
-        return (0.5 * (self._sums(x, 1) ** 2 - self._sums(x, 2))).reshape(shape)
+        alpha = self._branch(x, 1)
+        weighted = self._mult * alpha
+        total = 0.5 * reduce(np.add, (self._mult - 1.0) * alpha * weighted)
+        for a, b in combinations(range(len(self.branches)), 2):
+            total = total + weighted[a] * weighted[b]
+        return total.reshape(shape)
 
     def samples(self, count: int = 200) -> np.ndarray:
         """Interior sample table: columns r, alpha per branch, theta."""
@@ -216,19 +235,21 @@ class TubeProfile:
         return np.column_stack([r, *self.alpha_values(r), self.theta(r)])
 
 
-def _build(space, focal, branch_data, mu, area_constant=None, regular=False) -> TubeProfile:
+def _build(space, focal, branch_data, mu, orders, area_constant=None) -> TubeProfile:
     if any(math.isinf(k) for k, m, _ in branch_data if m > 0):
         raise UndecidedError(f"the branch curvature 4*lambda of {space.label} / {focal.label} "
                              f"overflows at lambda = {space.lam!r}")
     branches = tuple(JacobiBranch(k, m, i) for k, m, i in branch_data if m > 0)
-    return TubeProfile(space, focal, branches, mu, area_constant, regular)
+    return TubeProfile(space, focal, branches, mu, area_constant, orders)
 
 
 def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
     """Branch data, cut distance and density for one cataloged pair.
 
     The branches of every family follow from n = ``space.dim`` and nu =
-    ``space.invariant_count`` (A. Gray, *Tubes*, 2nd ed., 2004).
+    ``space.invariant_count`` (A. Gray, *Tubes*, 2nd ed., 2004), and so do the
+    orders: NORMAL branches vanish at r = 0; at mu, the lam branch on S, and
+    the TANGENT and 4*lam branches elsewhere.
 
     Raises ValueError for pairs outside the catalog, NotComputableError
     for the two classical pairs whose tube data the catalog cannot supply
@@ -247,10 +268,10 @@ def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
         if m < 2:
             raise ValueError(f"{space} is isometric to a sphere; use the sphere catalog entry")
         mu = math.pi / root if fam is Family.SPHERE else math.pi / (2.0 * root)
+        far = {Family.SPHERE: n - 1, Family.REAL_PROJECTIVE: 0}.get(fam, nu)
         return _build(
-            space, focal, [(lam, n - 1 - nu, N), (4.0 * lam, nu, N)], mu,
+            space, focal, [(lam, n - 1 - nu, N), (4.0 * lam, nu, N)], mu, (n - 1, far),
             area_constant=_unit_sphere_area(n) if round_family else None,
-            regular=(fam is Family.REAL_PROJECTIVE),
         )
 
     sub, p = focal.sub_family, focal.p
@@ -260,7 +281,7 @@ def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
         return _build(
             space, focal,
             [(lam, (nu + 1) * p, T), (lam, (nu + 1) * (m - 1 - p), N), (4.0 * lam, nu, N)],
-            math.pi / (2.0 * root),
+            math.pi / (2.0 * root), ((nu + 1) * (m - 1 - p) + nu, (nu + 1) * p + nu),
         )
     if p == m and (fam, sub) in ((Family.COMPLEX_PROJECTIVE, Family.REAL_PROJECTIVE),
                                  (Family.QUATERNIONIC_PROJECTIVE, Family.COMPLEX_PROJECTIVE)):

@@ -1,6 +1,7 @@
-"""Brute-force and panel-by-panel references that the tests compare the library against."""
+"""Brute-force, exact and panel-by-panel references that the tests compare the library against."""
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,15 +19,19 @@ def torus_riemann_oracle(big_radius, small_radius, nodes=1_000_000, *, area_weig
 
 
 def kronrod_panel(f, a, b):
-    """Reference kernel: one Kronrod panel, one integrand call."""
+    """Reference kernel: one Kronrod panel, one integrand call.  A one-row
+    integrand gives floats, a k-row one k-tuples."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     y = np.asarray(f(center + half * quadrature._NODES), dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError(f"integrand returned a non-finite value inside [{a}, {b}]")
-    kron = half * float(quadrature._KRONROD_W @ y)
-    gauss = half * float(quadrature._GAUSS_W @ y)
-    return kron, abs(kron - gauss)
+    if y.ndim == 1:
+        kron = half * float(quadrature._KRONROD_W @ y)
+        gauss = half * float(quadrature._GAUSS_W @ y)
+        return kron, abs(kron - gauss)
+    pairs = [kronrod_panel(lambda _: row, a, b) for row in y]
+    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
 
 
 def _checked_sums(values, errors, a, b):
@@ -39,45 +44,84 @@ def _checked_sums(values, errors, a, b):
     return value, error
 
 
-def reference_adaptive(f, a, b, config=None, log=None):
-    """``adaptive_quadrature`` with one integrand call per panel, each panel
-    evaluated only when the refinement uses it.  ``log`` collects
-    (value, error) by panel bounds."""
+def _reference_refine(f, intervals, config, log, rows):
+    """The refinement of ``adaptive_quadrature`` (one row) or ``ratio_quadrature``
+    (two rows) with one integrand call per panel, each panel evaluated only when
+    the refinement uses it: [(value, error)] per row.  ``log`` collects the
+    kernel's (value, error) by panel bounds."""
     config = config or quadrature.QuadratureConfig()
+    rel, absol = config.rel_tol, config.abs_tol
 
     def panel(lo, hi):
         out = kronrod_panel(f, lo, hi)
         if log is not None:
             log[(lo, hi)] = out
-        return out
+        value, error = out
+        return ((value, 0.0), (error, 0.0)) if rows == 1 else out
 
-    if b == a:
-        return 0.0, 0.0
+    def scales(v):
+        # (target, denominator, weight of the second row's errors)
+        if rows == 1:
+            return v[0], 1.0, 0.0
+        ratio = v[0] / v[1] if v[1] else math.nan
+        return ratio, abs(v[1]), max(abs(ratio), absol / rel)
+
+    def totals(heap):
+        return ([sum(e[4][i] for e in heap) for i in (0, 1)],
+                [sum(e[5][i] for e in heap) for i in (0, 1)],
+                [sum(abs(e[4][i]) for e in heap) for i in (0, 1)])
+
+    a, b = intervals[0][0], intervals[-1][1]
     width_floor = (b - a) * 2.0 ** (-quadrature.MAX_DEPTH)
-    val, err = panel(a, b)
-    heap = [(-err, 0, a, b, val)]
-    tick = 1
-    total_val, total_err, sum_abs = val, err, abs(val)
-    while total_err > max(config.abs_tol, config.rel_tol * abs(total_val),
-                          32.0 * quadrature._EPS * sum_abs):
-        neg_err, _, pa, pb, pval = heapq.heappop(heap)
-        perr = -neg_err
+    heap = [(0.0, i, lo, hi, *panel(lo, hi)) for i, (lo, hi) in enumerate(intervals)]
+    v, e, s = totals(heap)
+    target, den, w = scales(v)
+    heap = [(-(entry[5][0] + w * entry[5][1]), *entry[1:]) for entry in heap]
+    heapq.heapify(heap)
+    tick = len(heap)
+    while e[0] + w * e[1] > max(den * absol, den * (rel * abs(target)),
+                                32.0 * quadrature._EPS * (s[0] + w * s[1])):
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
         if pb - pa <= width_floor or len(heap) + 2 > quadrature.MAX_PANELS:
             raise quadrature.UndecidedError("quadrature did not converge")
         mid = 0.5 * (pa + pb)
-        (v1, e1), (v2, e2) = panel(pa, mid), panel(mid, pb)
-        total_val += (v1 + v2) - pval
-        total_err += (e1 + e2) - perr
-        sum_abs += abs(v1) + abs(v2) - abs(pval)
-        heapq.heappush(heap, (-e1, tick, pa, mid, v1))
-        heapq.heappush(heap, (-e2, tick + 1, mid, pb, v2))
+        (x, ex), (y, ey) = panel(pa, mid), panel(mid, pb)
+        for i in (0, 1):
+            v[i] += (x[i] + y[i]) - pval[i]
+            e[i] += (ex[i] + ey[i]) - perr[i]
+            s[i] += abs(x[i]) + abs(y[i]) - abs(pval[i])
+        heapq.heappush(heap, (-(ex[0] + w * ex[1]), tick, pa, mid, x, ex))
+        heapq.heappush(heap, (-(ey[0] + w * ey[1]), tick + 1, mid, pb, y, ey))
         tick += 2
-        if math.isnan(total_err):  # inf - inf: recount from the panels
-            total_val = sum(entry[4] for entry in heap)
-            total_err = sum(-entry[0] for entry in heap)
-            sum_abs = sum(abs(entry[4]) for entry in heap)
-    panels = sorted((entry[2], entry[4], -entry[0]) for entry in heap)
-    return _checked_sums([p[1] for p in panels], [p[2] for p in panels], a, b)
+        if math.isnan(e[0]) or math.isnan(e[1]):  # inf - inf: recount from the panels
+            v, e, s = totals(heap)
+        target, den, w = scales(v)
+    panels = sorted((entry[2], entry[4], entry[5]) for entry in heap)
+    return [_checked_sums([p[1][i] for p in panels], [p[2][i] for p in panels], a, b)
+            for i in range(rows)]
+
+
+def reference_adaptive(f, a, b, config=None, log=None):
+    """``adaptive_quadrature`` with one integrand call per panel, each panel
+    evaluated only when the refinement uses it.  ``log`` collects
+    (value, error) by panel bounds."""
+    if b == a:
+        return 0.0, 0.0
+    return _reference_refine(f, [(a, b)], config, log, 1)[0]
+
+
+def reference_ratio(f, breakpoints, config=None, log=None):
+    """``ratio_quadrature`` with one integrand call per panel, each panel
+    evaluated only when the refinement uses it."""
+    intervals = list(zip(breakpoints[:-1], breakpoints[1:]))
+    (num, num_err), (den, den_err) = _reference_refine(f, intervals, config, log, 2)
+    if not den >= 2.0 ** -1022:
+        raise quadrature.UndecidedError("the denominator is not a positive normal float")
+    ratio = num / den
+    error = (num_err + abs(ratio) * den_err) / den + 64.0 * quadrature._EPS * abs(ratio)
+    if not (math.isfinite(ratio) and math.isfinite(error)):
+        raise quadrature.UndecidedError("the ratio is not finite")
+    return ratio, error, num, den
 
 
 def reference_open(f, a, b, config=None, log=None):
@@ -99,3 +143,83 @@ def reference_open(f, a, b, config=None, log=None):
     value, error = _checked_sums([lower.value, value, upper.value],
                                  [lower.error + error + upper.error], a, b)
     return quadrature.OpenResult("finite", value, error, lower, upper)
+
+
+# ---------------------------------------------------------------- exact catalog answers
+# An own copy of the tube catalog, in fractions only.  In x = sqrt(lam) * r
+# every density is a Laurent polynomial in s = sin x and c = cos x.  Per
+# branch kind (NORMAL at lam, TANGENT at lam, NORMAL at 4 lam): the (s, c)
+# powers of its Jacobi field, and (alpha / sqrt(lam))**2 as
+# {(s power, c power): coefficient}.
+_FIELD_POWERS = {"N": (1, 0), "T": (0, 1), "N4": (1, 1)}
+_ALPHA_SQUARED = {
+    "N": {(-2, 2): 1},                           # (c / s)**2
+    "T": {(2, -2): 1},                           # (-s / c)**2
+    "N4": {(-2, 2): 1, (0, 0): -2, (2, -2): 1},  # (c / s - s / c)**2
+}
+_DIM_FACTOR = {"S": 1, "RP": 1, "CP": 2, "HP": 4, "CaP": 8}
+_NU = {"S": 0, "RP": 0, "CP": 1, "HP": 3, "CaP": 7}
+
+
+def catalog_branches(space, focal):
+    """(kind, multiplicity) of the branches of a catalog pair given by its
+    labels; None for the two pairs whose tube data is not computable."""
+    family, m = ("CaP", 2) if space == "CaP2" else (space.split(":")[0], int(space.split(":")[1]))
+    nu, n = _NU[family], _DIM_FACTOR[family] * m
+    if focal == "point":
+        data = [("N", n - 1 - nu), ("N4", nu)]
+    else:
+        _, sub, p = focal.split(":")
+        if int(p) == m and (family, sub) in (("CP", "RP"), ("HP", "CP")):
+            return None
+        data = [("T", (nu + 1) * int(p)), ("N", (nu + 1) * (m - 1 - int(p))), ("N4", nu)]
+    return [(kind, mult) for kind, mult in data if mult > 0]
+
+
+def _wallis_ratio(a, b, a0, b0):
+    """W(a, b) / W(a0, b0) for W(a, b) the integral of s**a c**b over (0, pi/2),
+    by the Wallis recurrence W(a + 2, b) = W(a, b) (a + 1) / (a + b + 2) and its
+    mirror image in b; a = a0 and b = b0 modulo 2, all exponents >= 0."""
+    ratio = Fraction(1)
+    while a0 < a:
+        ratio *= Fraction(a0 + 1, a0 + b0 + 2)
+        a0 += 2
+    while a0 > a:
+        ratio *= Fraction(a0 + b0, a0 - 1)
+        a0 -= 2
+    while b0 < b:
+        ratio *= Fraction(b0 + 1, a0 + b0 + 2)
+        b0 += 2
+    while b0 > b:
+        ratio *= Fraction(a0 + b0, b0 - 1)
+        b0 -= 2
+    return ratio
+
+
+def exact_bending(space, focal):
+    """(verdict, B/Vol per unit curvature scale, divergent endpoint) of a catalog pair.
+
+    The verdict is "finite", "divergent" or "not-computable"; B/Vol is a
+    Fraction for a finite pair and None otherwise.  A negative power of s (c)
+    diverges at x = 0 (at pi/2); only multiplicities multiply those powers,
+    so no two of them cancel.  The round spheres around a point run over
+    (0, pi), where s vanishes at both ends and the integrals of their even
+    powers of c are twice those over (0, pi/2).
+    """
+    data = catalog_branches(space, focal)
+    if data is None:
+        return "not-computable", None, None
+    a0 = sum(mult * _FIELD_POWERS[kind][0] for kind, mult in data)
+    b0 = sum(mult * _FIELD_POWERS[kind][1] for kind, mult in data)
+    terms = {}
+    for kind, mult in data:
+        for (a, b), coef in _ALPHA_SQUARED[kind].items():
+            key = (a + a0, b + b0)
+            terms[key] = terms.get(key, 0) + Fraction(mult * coef, 2)
+    terms = {key: coef for key, coef in terms.items() if coef}
+    at_zero = any(a < 0 for a, _ in terms)
+    at_mu = at_zero if space.startswith("S:") and focal == "point" else any(b < 0 for _, b in terms)
+    if at_zero or at_mu:
+        return "divergent", None, "both" if at_zero and at_mu else ("0" if at_zero else "mu")
+    value = sum((coef * _wallis_ratio(a, b, a0, b0) for (a, b), coef in terms.items()), Fraction(0))
+    return "finite", value, None

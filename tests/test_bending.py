@@ -24,10 +24,12 @@ from folbend.bending import (
     torus_bending,
     total_bending,
 )
-from folbend.quadrature import QuadratureConfig, adaptive_quadrature
+from folbend import cli, quadrature
+from folbend.bounds import integral_formula_check, table1_report
+from folbend.quadrature import QuadratureConfig, adaptive_quadrature, integrate_open
 from folbend.spaces import FocalVariety, ModelSpace, parse_focal, parse_space
 from folbend.tubes import NotComputableError, tube_profile
-from oracles import reference_adaptive, reference_open, torus_riemann_oracle
+from oracles import exact_bending, reference_ratio, torus_riemann_oracle
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 POINT = FocalVariety.point()
@@ -147,13 +149,20 @@ class TestCurvatureScaling:
         with np.errstate(over="ignore"):
             vol, _ = adaptive_quadrature(prof.theta, 0.0, prof.mu)
             res = total_bending(space, POINT)
+            # The shared pass bisects that panel too, and must recount like its reference.
+            shared = quadrature.ratio_quadrature(prof.bending_rows, (0.0, prof.mu))
+            assert shared == reference_ratio(prof.bending_rows, (0.0, prof.mu))
         assert abs(vol - exact) <= 1e-8 * exact
+        assert abs(shared[3] - exact) <= 1e-8 * exact
         assert abs(res.value_per_volume - lam * 59 / 116) <= res.error_estimate
 
 
 def s2_deformed_closed_form(eps):
-    # hand antiderivative of cos^2/sin over the deformation window on S^2
-    return math.pi * (math.log((1 + math.sin(eps)) / (1 - math.sin(eps))) - 2 * math.sin(eps))
+    # hand antiderivative of cos^2/sin over the deformation window on S^2,
+    # pi * (log((1 + s) / (1 - s)) - 2 s) with s = sin(eps), summed as its
+    # series 2 pi sum_{k >= 1} s^(2k+1) / (2k+1): the two terms cancel for small eps
+    s = math.sin(eps)
+    return 2 * math.pi * math.fsum(s ** (2 * k + 1) / (2 * k + 1) for k in range(1, 400))
 
 
 class TestEpsilonDeformation:
@@ -177,6 +186,23 @@ class TestEpsilonDeformation:
         res = epsilon_deformed_bending(self.S2, POINT, eps, TIGHT)
         assert res.status == "finite"
         assert res.value == pytest.approx(s2_deformed_closed_form(eps), abs=1e-10)
+
+    @pytest.mark.parametrize("quad", [QuadratureConfig(), TIGHT], ids=["default", "tight"])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2])
+    def test_narrow_sphere_window_inside_its_bar(self, eps, quad):
+        res = epsilon_deformed_bending(self.S2, POINT, eps, quad)
+        exact = s2_deformed_closed_form(eps)
+        assert abs(res.value - exact) <= res.error_estimate * res.volume + 4 * math.ulp(exact)
+
+    def test_window_bar_covers_the_rounded_edges(self):
+        # The rounding of the window edges moves this narrow window's B/Vol by
+        # 9.2e-18; the quadrature error alone is 7e-19.  The exact value comes
+        # from the catalog's Laurent polynomial integrated over the same float
+        # window by graded Gauss-Legendre panels.
+        lam, eps = 0.056198404815094784, 6.910159868683462e-4
+        res = epsilon_deformed_bending(parse_space("RP:5", lam), parse_focal("sub:RP:4"), eps,
+                                       QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12))
+        assert abs(res.value_per_volume - 3.296331448379329e-05) <= res.error_estimate
 
     def test_monotone_in_epsilon(self):
         values = [
@@ -317,9 +343,11 @@ def catalog_pairs(draw):
     return f"{family}:{m}", "point" if p == 0 else f"sub:{family}:{p}"
 
 
-def _outcome(space, focal, quad):
+def _outcome(space, focal, quad, epsilon):
     try:
-        return total_bending(space, focal, quad)
+        if epsilon is None:
+            return total_bending(space, focal, quad)
+        return epsilon_deformed_bending(space, focal, epsilon, quad)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
 
@@ -328,17 +356,108 @@ class TestAgainstThePanelLoop:
     @settings(max_examples=60, deadline=None)
     @given(pair=catalog_pairs(), log_lam=st.floats(-3.0, 3.0),
            rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
-           abs_tol=st.sampled_from([1e-12, 1e-14]))
-    def test_total_bending_is_bit_identical(self, pair, log_lam, rel_tol, abs_tol):
-        # The library's batched, look-ahead quadrature against one integrand
+           abs_tol=st.sampled_from([1e-12, 1e-14]),
+           epsilon=st.one_of(st.none(), st.floats(0.0, math.pi / 2)))
+    def test_total_bending_is_bit_identical(self, pair, log_lam, rel_tol, abs_tol, epsilon):
+        # The library's batched, look-ahead shared pass against one integrand
         # call per panel, each panel evaluated only when the refinement uses it.
         space, focal = parse_space(pair[0], 10.0 ** log_lam), parse_focal(pair[1])
         quad = QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
-        result = _outcome(space, focal, quad)
+        result = _outcome(space, focal, quad, epsilon)
+        calls = []
+
+        def reference(*args):
+            calls.append(args)
+            return reference_ratio(*args)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(folbend.bending, "integrate_open", reference_open)
-            patch.setattr(folbend.bending, "adaptive_quadrature", reference_adaptive)
-            assert _outcome(space, focal, quad) == result
+            patch.setattr(folbend.bending, "ratio_quadrature", reference)
+            assert _outcome(space, focal, quad, epsilon) == result
+        # A divergence verdict takes no quadrature; every other answer one pass.
+        if isinstance(result, BendingResult):
+            assert len(calls) == (0 if result.status == "divergent" else 1)
+
+
+def _ladder_calls(monkeypatch):
+    """Calls of ``integrate_open``, counted at its ladder."""
+    calls = []
+    ladder = quadrature._ladder
+    monkeypatch.setattr(quadrature, "_ladder", lambda *args: calls.append(args) or ladder(*args))
+    return calls
+
+
+def test_no_bending_path_runs_the_endpoint_ladder(monkeypatch, capsys):
+    calls = _ladder_calls(monkeypatch)
+    for space, focal in (("S:2", "point"), ("S:5", "sub:S:2"), ("CP:2", "point")):
+        total_bending(parse_space(space), parse_focal(focal))
+        epsilon_deformed_bending(parse_space(space), parse_focal(focal), 0.5)
+        integral_formula_check(parse_space(space), parse_focal(focal))
+    complex_radial_bending(3)
+    table1_report()
+    for argv in (["table1"], ["check-integral"], ["bending", "--space", "S:2"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+    integrate_open(np.cos, 0.0, 1.0)  # the counter itself sees a call
+    assert len(calls) == 2
+
+
+def _catalog(max_dim=200, every_p_to=24):
+    """(space, focal) labels of every family and index up to ``max_dim``, with
+    every focal variety up to dimension ``every_p_to`` and, above it, the
+    sub-spaces at both ends of the range of p and in its middle."""
+    for family, factor in (("S", 1), ("RP", 1), ("CP", 2), ("HP", 4)):
+        for m in range(2, max_dim // factor + 1):
+            space = f"{family}:{m}"
+            yield space, "point"
+            ps = range(1, m)
+            if factor * m > every_p_to:
+                ps = sorted({p for p in (1, 2, m // 2, m - 2, m - 1) if 1 <= p < m})
+            yield from ((space, f"sub:{family}:{p}") for p in ps)
+            if family in ("CP", "HP"):
+                yield space, f"sub:{'RP' if family == 'CP' else 'CP'}:{m}"
+    yield "CaP2", "point"
+
+
+CATALOG = list(_catalog()) + [("S:600", "point"), ("S:80", "sub:S:40")]
+FAMILIES = ("S:", "RP:", "CP:", "HP:", "CaP2")
+
+
+class TestAgainstTheExactCatalog:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_pair_meets_its_verdict_bar_and_tolerance(self, family):
+        # S:600 and S:80 / sub:S:40 came out silently wrong from the
+        # unnormalised absolute tolerance (B/Vol 5.8e-12 +- 5.8e-12 on S:600).
+        misses = []
+        for space, focal in (pair for pair in CATALOG if pair[0].startswith(family)):
+            verdict, exact, endpoint = exact_bending(space, focal)
+            for rel_tol in (1e-6, 1e-8, 1e-10):
+                quad = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-12)
+                try:
+                    res = total_bending(parse_space(space), parse_focal(focal), quad)
+                except NotComputableError:
+                    res = BendingResult(status="not-computable")
+                if (res.status, res.divergent_endpoint) != (verdict, endpoint):
+                    misses.append((space, focal, rel_tol, res.status, res.divergent_endpoint))
+                elif verdict == "divergent" and res.exponent_estimate != 1.0:
+                    misses.append((space, focal, rel_tol, res.exponent_estimate))
+                elif verdict == "finite":
+                    error = abs(res.value_per_volume - float(exact))
+                    if error > min(res.error_estimate, max(1e-12, rel_tol * float(exact))):
+                        misses.append((space, focal, rel_tol, error, res.error_estimate))
+        assert misses == []
+
+    def test_orders_agree_with_the_fitted_endpoint_ladder(self):
+        # The exact orders, against the exponents that integrate_open fits.
+        disagree = []
+        for space, focal in CATALOG:
+            if exact_bending(space, focal)[0] == "not-computable":
+                continue
+            prof = tube_profile(parse_space(space), parse_focal(focal))
+            fit = integrate_open(prof.bending_density, 0.0, prof.mu)
+            if (fit.lower.divergent, fit.upper.divergent) != tuple(z == 1 for z in prof.orders):
+                disagree.append((space, focal, prof.orders, fit.lower.exponent, fit.upper.exponent))
+        assert disagree == []
 
 
 class TestResultInvariants:

@@ -16,6 +16,7 @@ from folbend.bounds import (
 )
 from folbend.quadrature import QuadratureConfig
 from folbend.spaces import parse_focal, parse_space, ricci_curvature
+from oracles import exact_bending
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -102,6 +103,22 @@ class TestIntegralFormula:
         assert res.lhs == pytest.approx(6.0)
         # the right side still converges here, to a value far from Ric
         assert res.rhs == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("space,focal", [
+        (f"{family}:{m}", focal)
+        for family, top in (("S", 12), ("RP", 12), ("CP", 6), ("HP", 3))
+        for m in range(2, top + 1)
+        for focal in ["point"] + [f"sub:{family}:{p}" for p in range(1, m)]
+    ] + [("CaP2", "point")])
+    def test_verdict_and_identity_across_the_catalog(self, space, focal):
+        # The verdict comes from the exact orders; the right side converges
+        # either way, and equals Ric where the bending does.
+        res = integral_formula_check(parse_space(space), parse_focal(focal), TIGHT)
+        finite = exact_bending(space, focal)[0] == "finite"
+        assert res.status == ("applicable" if finite else "not-applicable")
+        assert res.rhs is not None and math.isfinite(res.rhs)
+        if finite:
+            assert res.relative_gap <= 1e-10 and res.holds
 
     def test_identity_scales_with_curvature(self):
         res = integral_formula_check(parse_space("HP:2", 2.0), parse_focal("point"), TIGHT)

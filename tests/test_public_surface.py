@@ -13,7 +13,7 @@ import folbend
 PUBLIC = {
     "quadrature": {
         "QuadratureConfig", "UndecidedError", "EndpointScan", "OpenResult",
-        "adaptive_quadrature", "integrate_open",
+        "adaptive_quadrature", "ratio_quadrature", "integrate_open",
     },
     "torsion": {
         "SplitDims", "TorsionCoefficients", "DerivedTensors", "BlockFlags",

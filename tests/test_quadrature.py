@@ -9,9 +9,10 @@ from folbend.quadrature import (
     UndecidedError,
     adaptive_quadrature,
     integrate_open,
+    ratio_quadrature,
 )
 from oracles import kronrod_panel as _scalar_gk15
-from oracles import reference_adaptive, reference_open
+from oracles import reference_adaptive, reference_open, reference_ratio
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -334,3 +335,66 @@ class TestBatchedPanels:
         with pytest.raises(ValueError) as reference:
             adaptive_quadrature(f, 0.0, 1.0, TIGHT)
         assert str(batched.value) == str(reference.value)
+
+
+def _lorentz_rows(x):
+    """A peaked numerator over a smooth denominator."""
+    return np.array((1e-3 / ((x - 0.3) ** 2 + 1e-6), 1.0 + x ** 2))
+
+
+class TestRatio:
+    def test_ratio_of_two_closed_forms(self):
+        ratio, error, num, den = ratio_quadrature(_lorentz_rows, (-1.0, 1.0), TIGHT)
+        exact_num = math.atan(1.3e3) + math.atan(0.7e3)
+        assert abs(num - exact_num) <= 1e-12 * exact_num
+        assert abs(den - 8.0 / 3.0) <= 1e-12
+        assert abs(ratio - exact_num / (8.0 / 3.0)) <= error
+
+    def test_bit_identical_to_panel_loop(self, monkeypatch):
+        counted = _Counting(_lorentz_rows)
+        log, reference_log = _recording(monkeypatch), {}
+        result = ratio_quadrature(counted, (-1.0, 0.25, 1.0), TIGHT)
+        assert result == reference_ratio(_lorentz_rows, (-1.0, 0.25, 1.0), TIGHT, reference_log)
+        assert _same_panels(log, reference_log)
+        # Both starting panels and two generations below each share the first call.
+        assert counted.sizes[0] == 15 * 14 and set(counted.sizes[1:]) == {90}
+        bisections = (len(reference_log) - 2) // 2
+        assert bisections > 10
+        assert len(counted.sizes) - 1 <= _max_later_calls(bisections)
+
+    def test_abs_tol_bounds_the_ratio_at_any_scale(self):
+        # A ratio of 4.4e-10 to abs_tol = 1e-12, whatever the scale of both
+        # integrals; powers of two scale exactly, so the refinement is the same.
+        quad = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
+        exact = 1e-9 * (math.atan(1.3e3) + math.atan(0.7e3)) / (8.0 / 3.0)
+        results = set()
+        for scale in (2.0 ** -70, 1.0, 2.0 ** 70):
+            rows = lambda x, c=scale: c * _lorentz_rows(x) * np.array([[1e-9], [1.0]])
+            results.add(ratio_quadrature(rows, (-1.0, 1.0), quad)[:2])
+        (ratio, error), = results
+        assert abs(ratio - exact) <= error <= 1.001e-12
+
+    def test_denominator_meets_rel_tol_alone(self):
+        # The ratio is zero, so its own tolerance asks nothing of the
+        # denominator; the denominator must still meet rel_tol.
+        rows = lambda x: np.array((np.zeros_like(x), 1e-3 / ((x - 0.3) ** 2 + 1e-6)))
+        _, _, num, den = ratio_quadrature(rows, (-1.0, 1.0), TIGHT)
+        exact = math.atan(1.3e3) + math.atan(0.7e3)
+        assert num == 0.0
+        assert abs(den - exact) <= 1e-12 * exact
+
+    def test_zero_denominator_is_undecided(self):
+        with pytest.raises(UndecidedError, match="denominator"):
+            ratio_quadrature(lambda x: np.array((np.ones_like(x), np.zeros_like(x))), (0.0, 1.0))
+
+    @pytest.mark.parametrize("breakpoints", [(1.0,), (0.0, 2.0, 1.0), (0.0, math.nan)])
+    def test_rejects_bad_breakpoints(self, breakpoints):
+        with pytest.raises(ValueError, match="breakpoints"):
+            ratio_quadrature(_lorentz_rows, breakpoints)
+
+    @pytest.mark.parametrize("f", [np.cos, lambda x: np.array((x, x, x))], ids=["one", "three"])
+    def test_rejects_other_row_counts(self, f):
+        with pytest.raises(ValueError, match="row"):
+            ratio_quadrature(f, (0.0, 1.0))
+        with pytest.raises(ValueError, match="row"):
+            adaptive_quadrature(lambda x: np.array((x, x)), 0.0, 1.0)

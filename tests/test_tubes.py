@@ -252,6 +252,48 @@ class TestCatalog:
         assert np.allclose(sum_alpha_sq(prof, r), sum_alpha_sq(rev, r), rtol=1e-14)
         assert np.allclose(prof.bending_density(r), rev.bending_density(r), rtol=1e-14)
 
+    @pytest.mark.parametrize("space,focal,orders", [
+        ("S:2", "point", (1, 1)), ("S:5", "point", (4, 4)), ("RP:4", "point", (3, 0)),
+        ("CP:2", "point", (3, 1)), ("HP:2", "point", (7, 3)), ("CaP2", "point", (15, 7)),
+        ("S:4", "sub:S:2", (1, 2)), ("S:5", "sub:S:3", (1, 3)), ("RP:5", "sub:RP:4", (0, 4)),
+        ("CP:3", "sub:CP:1", (3, 3)), ("HP:3", "sub:HP:1", (7, 7)),
+    ])
+    def test_endpoint_orders(self, space, focal, orders):
+        # Z_0 counts the NORMAL multiplicities; Z_mu those of the branches
+        # whose first zero is mu: lam on S, TANGENT and 4 lam at x = pi/2.
+        prof = tube_profile(parse_space(space, lam=3.0), parse_focal(focal))
+        assert prof.orders == orders
+        assert orders[0] == sum(b.multiplicity for b in prof.branches
+                                if b.init is InitKind.NORMAL)
+
+    @pytest.mark.parametrize("space,focal", CATALOG)
+    def test_bending_rows_are_density_and_theta(self, space, focal):
+        prof = tube_profile(space, focal)
+        r = np.linspace(0.0, prof.mu, 37)[1:-1]
+        rows = prof.bending_rows(r)
+        assert rows.shape == (2, r.size)
+        assert np.array_equal(rows[0], prof.bending_density(r))
+        assert np.array_equal(rows[1], prof.theta(r))
+
+    @pytest.mark.parametrize("space,focal", CATALOG)
+    def test_second_mean_curvature_is_the_pairwise_sum(self, space, focal):
+        prof = tube_profile(space, focal)
+        r = np.linspace(0.05 * prof.mu, 0.95 * prof.mu, 9)
+        alpha = prof.alpha_values(r)
+        mult = np.array([float(b.multiplicity) for b in prof.branches])[:, None]
+        first = (mult * alpha).sum(axis=0)
+        expected = 0.5 * (first ** 2 - (mult * alpha ** 2).sum(axis=0))
+        assert np.allclose(prof.second_mean_curvature(r), expected, rtol=1e-12, atol=1e-12)
+
+    def test_second_mean_curvature_has_no_cancelling_poles(self):
+        # CP:2 around a point: only the 4 lam branch, of multiplicity 1,
+        # vanishes at mu, so sigma_2 ~ d**-1 there, with no d**-2 terms to cancel.
+        prof = tube_profile(parse_space("CP:2"), POINT)
+        d = 1e-9  # the difference form returns 0.0 here, the exact value is about -2
+        alpha = prof.alpha_values(prof.mu - d)
+        exact = 2.0 * float(alpha[0]) * float(alpha[1]) + float(alpha[0]) ** 2
+        assert float(prof.second_mean_curvature(prof.mu - d)) == pytest.approx(exact, rel=1e-14)
+
     def test_flat_branch_rejected(self):
         prof = tube_profile(parse_space("S:3"), POINT)
         with pytest.raises(ValueError):

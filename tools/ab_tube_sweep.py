@@ -11,12 +11,17 @@ separate 35 s benchmark runs on a shared machine do not give.
 
 For each seed it prints, per side, the mean and median wall time per
 operation, and from a second, untimed pass the integrand calls and nodes per
-operation; it also reports whether every answer has the same ``repr`` on
-both sides (exceptions included).  The last line is all of it as JSON.
+operation.  It judges every answer of both sides with ``TubeSweep.judge``
+and prints each side's failure causes; it also reports whether every answer
+has the same ``repr`` on both sides (exceptions included), which a change
+that alters answers on purpose need not keep.  The last line is all of it as
+JSON.  The exit status is 1 when either side has a HARD cause (an
+exception, a bad exit or a wrong verdict), and 0 otherwise.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import statistics
@@ -73,9 +78,9 @@ def _counts(wl: workloads.TubeSweep, requests: list) -> tuple[float, float]:
     return seen[0] / len(requests), seen[1] / len(requests)
 
 
-def _side(times: list[float], counts: tuple[float, float]) -> dict:
+def _side(times: list[float], counts: tuple[float, float], causes: collections.Counter) -> dict:
     return {"mean_ms": 1e3 * statistics.fmean(times), "p50_ms": 1e3 * statistics.median(times),
-            "calls_per_op": counts[0], "nodes_per_op": counts[1]}
+            "calls_per_op": counts[0], "nodes_per_op": counts[1], "causes": dict(causes)}
 
 
 def compare(base: workloads.TubeSweep, change: workloads.TubeSweep, seed: int, n: int) -> dict:
@@ -84,6 +89,7 @@ def compare(base: workloads.TubeSweep, change: workloads.TubeSweep, seed: int, n
         base.execute(req)
         change.execute(req)
     times = ([], [])
+    causes = (collections.Counter(), collections.Counter())
     same = True
     for i, req in enumerate(requests):
         answers = [None, None]
@@ -93,10 +99,13 @@ def compare(base: workloads.TubeSweep, change: workloads.TubeSweep, seed: int, n
             out = wl.execute(req)
             times[side].append(time.perf_counter() - t0)
             answers[side] = _answer(out)
+            cause = wl.judge(req, req, out)
+            if cause is not None:
+                causes[side][cause] += 1
         same = same and answers[0] == answers[1]
     result = {"seed": seed, "requests": n, "identical_answers": same,
-              "base": _side(times[0], _counts(base, requests)),
-              "change": _side(times[1], _counts(change, requests))}
+              "base": _side(times[0], _counts(base, requests), causes[0]),
+              "change": _side(times[1], _counts(change, requests), causes[1])}
     for key in ("mean_ms", "p50_ms"):
         result[f"{key}_change_over_base"] = result["change"][key] / result["base"][key]
     return result
@@ -120,9 +129,12 @@ def main(argv=None) -> int:
               f"{c['p50_ms']:.3f} ms ({res['p50_ms_change_over_base']:.3f}x), calls/op "
               f"{b['calls_per_op']:.3f} -> {c['calls_per_op']:.3f}, nodes/op "
               f"{b['nodes_per_op']:.1f} -> {c['nodes_per_op']:.1f}, identical answers: "
-              f"{res['identical_answers']}")
+              f"{res['identical_answers']}, causes {b['causes'] or 'none'} -> "
+              f"{c['causes'] or 'none'}")
     print(json.dumps(results))
-    return 0 if all(r["identical_answers"] for r in results) else 1
+    hard = [cause for r in results for side in ("base", "change")
+            for cause in r[side]["causes"] if cause in workloads.HARD]
+    return 1 if hard else 0
 
 
 if __name__ == "__main__":
