@@ -55,7 +55,6 @@ from .tubes import (
     tube_profile,
     write_profile_csv,
 )
-from .torsion import SplitDims, mu_identity_residual, random_coefficients
 
 SCHEMA_VERSION = 1
 
@@ -311,6 +310,8 @@ def _cmd_minimizer(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .torsion import SplitDims, mu_identity_residual, random_coefficients
+
     failures = []
 
     # exactness of the panel rule on a smooth integrand

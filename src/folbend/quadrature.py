@@ -45,19 +45,20 @@ panels and ``_LOOKAHEAD`` generations of their bisections (with both
 endpoint ladders, for ``integrate_open``), or those generations below a
 bisected panel.  So panels may be evaluated before they are needed, or
 never be needed.  A non-finite value raises ValueError, naming the first
-such panel, only in a panel the result uses.  A summed value or error that
-overflows raises UndecidedError, and so do values near the float maximum
-even where the integral is representable (a panel's values are summed
-before the half-width scales them): never a number.
+such panel, only in a panel the result uses.  A panel sum that overflows
+before the half-width scales it is taken again at 2**-4 scale, exactly, so
+values near the float maximum keep a representable integral.  A summed
+value or error that overflows raises UndecidedError: never a number.
 
 All reductions happen in a fixed order (panels sorted by position, summed
 with math.fsum), so results do not depend on evaluation order.  Panel rows
 of 15 values are reduced by one ``np.matmul`` of the stacked (1 x 15) rows
-with the weights, which numpy evaluates row by row with the same dot kernel
-as a 1-D ``@``: a panel's integral does not depend on which panels, or
-which rows, share its call.  A 2-D matrix-vector product, ``einsum``,
-``(y * w).sum``, a two-column weight matrix or Fortran-ordered rows sum in
-other orders and change the last bit of about half the rows.
+with the Kronrod and Gauss weights as two stacked (15 x 1) columns: numpy
+evaluates each product with the same dot kernel as a 1-D ``@``, so a panel's
+integral does not depend on which panels, or which rows, share its call.
+A 2-D matrix-vector product, ``einsum``, ``(y * w).sum``, one (15 x 2)
+weight matrix or Fortran-ordered rows sum in other orders and change the
+last bit of about half the rows.
 """
 from __future__ import annotations
 
@@ -114,6 +115,7 @@ _NODES = np.concatenate([-_XGK[:7], _XGK[7:8], _XGK[6::-1]])
 _KRONROD_W = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
 _GAUSS_W = np.zeros(15)
 _GAUSS_W[1::2] = np.concatenate([_WG, _WG[2::-1]])
+_WEIGHTS = np.stack([_KRONROD_W, _GAUSS_W])[:, None, :, None]  # (2, 1, 15, 1) for ``_reduce``
 
 
 class UndecidedError(RuntimeError):
@@ -171,18 +173,27 @@ def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list, li
         raise ValueError("integrand must map a vector of nodes to a vector of values, "
                          "or to two rows of them")
     rows = np.ascontiguousarray(y).reshape(-1, 15)
-    bad = []
-    if not np.isfinite(y).all():  # reduce the bad rows as zeros, without warnings
-        finite = np.isfinite(rows).all(axis=1)
-        bad = np.flatnonzero(~finite.reshape(-1, lo.size).all(axis=0)).tolist()
-        rows = np.where(finite[:, None], rows, 0.0)
-    kron = np.matmul(rows[:, None, :], _KRONROD_W)[:, 0].reshape(-1, lo.size) * half
-    gauss = np.matmul(rows[:, None, :], _GAUSS_W)[:, 0].reshape(-1, lo.size) * half
-    integrals, errors = (v[0] if y.ndim == 1 else list(zip(*v))
-                         for v in (kron.tolist(), np.abs(kron - gauss).tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is sorted out below
+        kron, err = _reduce(rows, half)
+        integrals, errors, bad = kron.tolist(), err.tolist(), []
+        # f has one or two rows; all Kronrod weights are positive, so a non-finite value shows here.
+        if not math.isfinite(sum(integrals[0] + integrals[-1] + errors[0] + errors[-1])):
+            # Rows with a non-finite value count as zeros; overflowing rows are redone at 2**-4.
+            finite = np.isfinite(rows).all(axis=1)
+            bad = np.flatnonzero(~finite.reshape(-1, lo.size).all(axis=0)).tolist()
+            scale = np.where(np.isfinite(kron + err), 1.0, 2.0 ** -4)
+            kron, err = _reduce(np.where(finite[:, None], rows * scale.reshape(-1, 1), 0.0), half)
+            integrals, errors = (kron / scale).tolist(), (err / scale).tolist()
+    integrals, errors = (v[0] if y.ndim == 1 else list(zip(*v)) for v in (integrals, errors))
     for i in bad:
         integrals[i] = None
     return integrals, errors
+
+
+def _reduce(rows: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Kronrod sum, its distance to the Gauss sum) of each row times its half-width."""
+    kron, gauss = np.matmul(rows[:, None, :], _WEIGHTS).reshape(2, -1, half.size) * half
+    return kron, np.abs(kron - gauss)
 
 
 def _not_finite(a: float, b: float) -> ValueError:

@@ -292,6 +292,51 @@ class TestProcessLevel:
         assert "Traceback" not in proc.stderr
 
 
+def _child(code, **env):
+    """(threads, OPENBLAS_NUM_THREADS) of a child Python after ``code``, with
+    this process's environment less OPENBLAS_NUM_THREADS, plus ``env``."""
+    full_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full_env.update(env)
+    probe = ("; import os; print(len(os.listdir('/proc/self/task')),"
+             " os.environ.get('OPENBLAS_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", code + probe], capture_output=True, text=True,
+                         env=full_env, check=True).stdout.split()
+    return int(out[0]), out[1]
+
+
+@pytest.fixture(scope="module")
+def blas_pool():
+    if not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2:
+        pytest.skip("threads are counted in /proc on a Linux machine with two or more CPUs")
+    if _child("import numpy")[0] == 1:
+        pytest.skip("this numpy starts no BLAS thread pool")
+
+
+def _imported_modules(argv):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "folbend", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestEntryPoint:
+    def test_cli_runs_blas_on_one_thread(self, blas_pool):
+        assert _child("import folbend.__main__") == (1, "1")
+
+    def test_callers_thread_setting_wins(self, blas_pool):
+        threads, setting = _child("import folbend.__main__", OPENBLAS_NUM_THREADS="2")
+        assert setting == "2" and threads > 1
+
+    def test_library_leaves_the_thread_setting_alone(self):
+        assert _child("import folbend.cli")[1] == "None"
+
+    def test_torsion_is_imported_only_by_selfcheck(self):
+        for argv in (["bending", "--space", "S:3", "--json"], ["table1", "--json"]):
+            assert "folbend.torsion" not in _imported_modules(argv)
+        assert "folbend.torsion" in _imported_modules(["selfcheck"])
+
+
 BENDING_KEYS = {"branches", "divergent_endpoint", "error_estimate", "exponent_estimate",
                 "mu", "status", "value", "value_per_volume", "volume"}
 BRANCH_KEYS = {"init", "kappa", "multiplicity"}

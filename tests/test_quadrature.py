@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,22 @@ class TestAdaptive:
         exact = 0.85e308 * 0.05 * math.sqrt(math.pi)
         assert abs(val - exact) <= 1e-8 * exact
         assert abs(val - exact) <= err
+
+    def test_panel_sums_past_the_float_maximum(self):
+        # The Kronrod and Gauss sums of the panels next to x = 4 overflow before
+        # the half-width scales them; the integral is representable.
+        f = lambda x: 1.5e308 * np.exp(-(((x - 4.0) / 0.05) ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, err = adaptive_quadrature(f, 0.0, 8.0)
+        exact = 1.5e308 * 0.05 * math.sqrt(math.pi)
+        assert abs(val - exact) <= 1e-8 * exact
+        assert abs(val - exact) <= err
+
+    def test_nonfinite_integrand_warns_nothing(self):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite"):
+            warnings.simplefilter("error")
+            adaptive_quadrature(lambda x: np.where(x > 0.5, np.inf, -np.inf), 0.0, 1.0)
 
 
 class TestOpenInterval:
@@ -238,6 +255,22 @@ class TestBatchedPanels:
             k = half * float(quadrature._KRONROD_W @ row)
             g = half * float(quadrature._GAUSS_W @ row)
             assert kron[i] == k and err[i] == abs(k - g)
+
+    def test_overflowing_rows_leave_the_others_bits(self):
+        # Panel 1 overflows its sums, panel 2 holds an inf; panels 0 and 3 are plain.
+        a, b = np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0])
+        rows = np.random.default_rng(7).standard_normal((4, 15))
+        rows[1] = 1.7e308
+        rows[2, 4] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kron, err = quadrature._gk15(lambda x: rows.reshape(-1), a, b)
+        for i in (0, 3):
+            k = 0.5 * float(quadrature._KRONROD_W @ rows[i])
+            g = 0.5 * float(quadrature._GAUSS_W @ rows[i])
+            assert kron[i] == k and err[i] == abs(k - g)
+        assert kron[1] == pytest.approx(1.7e308) and math.isfinite(err[1])
+        assert kron[2] is None
 
     def test_one_call_per_endpoint_ladder(self, monkeypatch):
         f = _Counting(np.cos)
