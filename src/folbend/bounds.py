@@ -198,8 +198,8 @@ class TableRow:
         return self.status in ("Reproduced", "DivergenceConfirmed", "NotComputable")
 
 
-# (space, focal, closed form per unit lam or the expected verdict)
-# Closed forms come from hand antiderivatives of sine/cosine powers.
+# (space, focal, closed form per unit lam or the expected verdict); every row
+# equals the exact catalog answer (tests/test_bounds.py, test_rows_equal_the_exact_catalog).
 DEFAULT_TABLE_ROWS: tuple[tuple[str, str, object], ...] = (
     ("S:2", "point", "divergent"),
     ("S:3", "point", Fraction(1)),

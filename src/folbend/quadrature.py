@@ -40,15 +40,16 @@ Subroutine Package for Automatic Integration*, Springer, 1983).
 
 The integrand contract: ``f`` maps a 1-D float array of any length N to
 shape (N,), elementwise, or for ``ratio_quadrature`` to two such rows,
-shape (2, N).  One call covers many panels, 15 nodes each: the starting
-panels and ``_LOOKAHEAD`` generations of their bisections (with both
-endpoint ladders, for ``integrate_open``), or those generations below a
-bisected panel.  So panels may be evaluated before they are needed, or
-never be needed.  A non-finite value raises ValueError, naming the first
-such panel, only in a panel the result uses.  A panel sum that overflows
-before the half-width scales it is taken again at 2**-4 scale, exactly, so
-values near the float maximum keep a representable integral.  A summed
-value or error that overflows raises UndecidedError: never a number.
+shape (2, N).  One call covers many panels, 15 nodes each: both endpoint
+ladders of ``integrate_open``, which leaves the interval between them to
+``adaptive_quadrature``; the starting panels and ``_LOOKAHEAD`` generations
+of their bisections; or those generations below a bisected panel.  So
+panels may be evaluated before they are needed, or never be needed.  A
+non-finite value raises ValueError, naming the first such panel, only in a
+panel the result uses.  A panel sum that overflows before the half-width
+scales it is taken again at 2**-4 scale, exactly, so values near the float
+maximum keep a representable integral.  A summed value or error that
+overflows raises UndecidedError: never a number.
 
 All reductions happen in a fixed order (panels sorted by position, summed
 with math.fsum), so results do not depend on evaluation order.  Panel rows
@@ -231,21 +232,16 @@ def _subtree(a: float, b: float) -> tuple[list[float], list[float]]:
     return lows, highs
 
 
-def _by_bounds(lows: list[float], highs: list[float], integrals: list, errors: list,
-               rows: int) -> dict:
-    """(integrals, errors) of panels by their bounds (left, right), as pairs:
-    a one-row integrand's second row is zero."""
+def _panels(f: Callable, lows: list[float], highs: list[float], rows: int) -> dict:
+    """(integrals, errors) of the panels of one ``_gk15`` call by their bounds
+    (left, right), as pairs: a one-row integrand's second row is zero."""
+    integrals, errors = _gk15(f, lows, highs)
     if isinstance(errors[0], tuple) != (rows == 2):
         raise ValueError(f"integrand must return {rows} row(s) of values")
     if rows == 1:
         integrals = [v if v is None else (v, 0.0) for v in integrals]
         errors = [(e, 0.0) for e in errors]
     return dict(zip(zip(lows, highs), zip(integrals, errors)))
-
-
-def _panels(f: Callable, lows: list[float], highs: list[float], rows: int) -> dict:
-    """``_by_bounds`` of the panels of one ``_gk15`` call."""
-    return _by_bounds(lows, highs, *_gk15(f, lows, highs), rows)
 
 
 def adaptive_quadrature(
@@ -446,20 +442,16 @@ def integrate_open(
         raise ValueError("integration bounds must satisfy a < b")
     window = DIVERGENCE_WINDOW * (b - a)
     (lo1, hi1), (lo2, hi2) = _ladder(a, +1, window), _ladder(b, -1, window)
-    lows, highs, n_lo, n = lo1 + lo2, hi1 + hi2, len(lo1), len(lo1) + len(lo2)
-    ca, cb = a + window, b - window
-    c_lows, c_highs = _subtree(ca, cb)
-    sums, errs = _gk15(f, lows + c_lows, highs + c_highs)
-    # Every ladder panel is used; the central ones only if no endpoint diverges.
-    if None in sums[:n]:
+    lows, highs = lo1 + lo2, hi1 + hi2
+    sums, errs = _gk15(f, lows, highs) if lows else ([], [])
+    if None in sums:
         i = sums.index(None)
         raise _not_finite(lows[i], highs[i])
-    lower = _endpoint_scan(sums[:n_lo], errs[:n_lo])
-    upper = _endpoint_scan(sums[n_lo:n], errs[n_lo:n])
+    lower = _endpoint_scan(sums[:len(lo1)], errs[:len(lo1)])
+    upper = _endpoint_scan(sums[len(lo1):], errs[len(lo1):])
     if lower.divergent or upper.divergent:
         return OpenResult("divergent", None, None, lower, upper)
-    known = _by_bounds(c_lows, c_highs, sums[n:], errs[n:], 1)
-    central_val, central_err = _refine(f, [(ca, cb)], config, known, 1)[0]
+    central_val, central_err = adaptive_quadrature(f, a + window, b - window, config)
     value, error = _finite(_fsum([lower.value, central_val, upper.value]),
                            lower.error + central_err + upper.error, a, b)
     return OpenResult("finite", value, error, lower, upper)

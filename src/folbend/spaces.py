@@ -28,7 +28,6 @@ __all__ = [
     "jacobi_spectrum",
     "ricci_curvature",
     "scalar_curvature",
-    "mixed_scalar_curvature",
 ]
 
 
@@ -128,23 +127,6 @@ def scalar_curvature(space: ModelSpace) -> float:
     """
     n, nu = space.dim, space.invariant_count
     return n * (n - 1 + 3 * nu) * space.lam
-
-
-def mixed_scalar_curvature(space: ModelSpace, q: int) -> float:
-    """Mixed scalar curvature q*(n-q)*lam of an invariant q-dimensional splitting.
-
-    The closed form requires the vertical block to be preserved by the
-    invariant structures, which forces q to be a multiple of nu + 1; other
-    values of q are rejected rather than silently mis-evaluated.
-    """
-    n, nu = space.dim, space.invariant_count
-    if not isinstance(q, int) or not (1 <= q <= n):
-        raise ValueError(f"the splitting dimension must satisfy 1 <= q <= {n}")
-    if nu > 0 and q % (nu + 1) != 0:
-        raise ValueError(
-            f"on {space} an invariant splitting needs q divisible by {nu + 1}, got q={q}"
-        )
-    return q * (n - q) * space.lam
 
 
 @dataclass(frozen=True)

@@ -212,10 +212,6 @@ class TubeProfile:
         theta = self._theta(x)
         return np.array((0.5 * self._sums(x, 2) * theta, theta))
 
-    def bending_density(self, r):
-        """Integrand of the total bending against dr: 0.5 * sum m*alpha^2 * theta."""
-        return self.bending_rows(r)[0].reshape(np.shape(r))
-
     def second_mean_curvature(self, r):
         """Sum of pairwise products of principal curvatures (with multiplicity),
         pair by pair: 0.5 ((sum m alpha)**2 - sum m alpha**2) cancels d**-2 terms."""

@@ -34,13 +34,18 @@ def kronrod_panel(f, a, b):
     return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
 
 
-def _checked_sums(values, errors, a, b):
+def _fsum(values):
     try:
-        value, error = math.fsum(values), math.fsum(errors)
+        return math.fsum(values)
     except (OverflowError, ValueError):
-        value = error = math.nan
+        return math.nan
+
+
+def _checked(value, error, a, b):
+    """(value, error), or the library's UndecidedError unless both are finite."""
     if not (math.isfinite(value) and math.isfinite(error)):
-        raise quadrature.UndecidedError(f"the integral over [{a}, {b}] is not finite")
+        raise quadrature.UndecidedError(
+            f"the integral over [{a}, {b}] is not finite: value {value!r}, error {error!r}")
     return value, error
 
 
@@ -83,7 +88,9 @@ def _reference_refine(f, intervals, config, log, rows):
                                 32.0 * quadrature._EPS * (s[0] + w * s[1])):
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         if pb - pa <= width_floor or len(heap) + 2 > quadrature.MAX_PANELS:
-            raise quadrature.UndecidedError("quadrature did not converge")
+            raise quadrature.UndecidedError(
+                "quadrature did not converge within the refinement budget "
+                f"(residual error {e[0] + w * e[1]:.3e} on [{a}, {b}])")
         mid = 0.5 * (pa + pb)
         (x, ex), (y, ey) = panel(pa, mid), panel(mid, pb)
         for i in (0, 1):
@@ -97,7 +104,7 @@ def _reference_refine(f, intervals, config, log, rows):
             v, e, s = totals(heap)
         target, den, w = scales(v)
     panels = sorted((entry[2], entry[4], entry[5]) for entry in heap)
-    return [_checked_sums([p[1][i] for p in panels], [p[2][i] for p in panels], a, b)
+    return [_checked(_fsum([p[1][i] for p in panels]), _fsum([p[2][i] for p in panels]), a, b)
             for i in range(rows)]
 
 
@@ -116,12 +123,11 @@ def reference_ratio(f, breakpoints, config=None, log=None):
     intervals = list(zip(breakpoints[:-1], breakpoints[1:]))
     (num, num_err), (den, den_err) = _reference_refine(f, intervals, config, log, 2)
     if not den >= 2.0 ** -1022:
-        raise quadrature.UndecidedError("the denominator is not a positive normal float")
+        raise quadrature.UndecidedError(f"the denominator integral {den!r} over [{breakpoints[0]}, "
+                                        f"{breakpoints[-1]}] is not a positive normal float")
     ratio = num / den
     error = (num_err + abs(ratio) * den_err) / den + 64.0 * quadrature._EPS * abs(ratio)
-    if not (math.isfinite(ratio) and math.isfinite(error)):
-        raise quadrature.UndecidedError("the ratio is not finite")
-    return ratio, error, num, den
+    return (*_checked(ratio, error, breakpoints[0], breakpoints[-1]), num, den)
 
 
 def reference_open(f, a, b, config=None, log=None):
@@ -140,8 +146,8 @@ def reference_open(f, a, b, config=None, log=None):
     if lower.divergent or upper.divergent:
         return quadrature.OpenResult("divergent", None, None, lower, upper)
     value, error = reference_adaptive(f, a + window, b - window, config, log)
-    value, error = _checked_sums([lower.value, value, upper.value],
-                                 [lower.error + error + upper.error], a, b)
+    value, error = _checked(_fsum([lower.value, value, upper.value]),
+                            lower.error + error + upper.error, a, b)
     return quadrature.OpenResult("finite", value, error, lower, upper)
 
 

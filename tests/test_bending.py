@@ -454,7 +454,7 @@ class TestAgainstTheExactCatalog:
             if exact_bending(space, focal)[0] == "not-computable":
                 continue
             prof = tube_profile(parse_space(space), parse_focal(focal))
-            fit = integrate_open(prof.bending_density, 0.0, prof.mu)
+            fit = integrate_open(lambda r: prof.bending_rows(r)[0], 0.0, prof.mu)
             if (fit.lower.divergent, fit.upper.divergent) != tuple(z == 1 for z in prof.orders):
                 disagree.append((space, focal, prof.orders, fit.lower.exponent, fit.upper.exponent))
         assert disagree == []

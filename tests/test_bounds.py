@@ -134,6 +134,16 @@ class TestTableReport:
         statuses = {row.status for row in report.rows}
         assert statuses == {"Reproduced", "DivergenceConfirmed", "NotComputable"}
 
+    @pytest.mark.parametrize("space,focal,form", DEFAULT_TABLE_ROWS,
+                             ids=[f"{row[0]}-{row[1]}" for row in DEFAULT_TABLE_ROWS])
+    def test_rows_equal_the_exact_catalog(self, space, focal, form):
+        # A closed form is the exact B/Vol per unit lam; a verdict is the exact one.
+        verdict, value, _ = exact_bending(space, focal)
+        if isinstance(form, Fraction):
+            assert (verdict, value) == ("finite", form)
+        else:
+            assert verdict == form.replace(" ", "-")
+
     def test_row_contents(self):
         report = table1_report(quad=TIGHT)
         by_key = {(r.space, r.focal): r for r in report.rows}

@@ -23,7 +23,7 @@ PUBLIC = {
     },
     "spaces": {
         "Family", "ModelSpace", "FocalVariety", "parse_space", "parse_focal",
-        "jacobi_spectrum", "ricci_curvature", "scalar_curvature", "mixed_scalar_curvature",
+        "jacobi_spectrum", "ricci_curvature", "scalar_curvature",
     },
     "tubes": {
         "InitKind", "JacobiBranch", "TubeProfile", "NotComputableError", "jacobi_solution",

@@ -280,22 +280,28 @@ class TestBatchedPanels:
         assert _same_panels(log, reference_log)
         levels = res.lower.levels + res.upper.levels
         assert res.lower.levels > 30 and res.upper.levels > 30
-        # Both ladders, the central panel and two generations below it share
-        # the first call; each later call is two generations below one panel.
-        assert f.sizes[0] == 15 * (levels + 7)
-        assert f.sizes[1:] == [90] * (len(f.sizes) - 1)
+        # Both ladders share the first call.  Then adaptive_quadrature's on the
+        # central interval: its panel and two generations below it, and each
+        # later call two generations below one panel.
+        assert f.sizes[:2] == [15 * levels, 15 * 7]
+        assert f.sizes[2:] == [90] * (len(f.sizes) - 2)
         bisections = (len(reference_log) - levels - 1) // 2
-        assert len(f.sizes) - 1 <= _max_later_calls(bisections)
+        assert len(f.sizes) - 2 <= _max_later_calls(bisections)
 
     def test_divergent_ladder_calls_only_the_ladders(self, monkeypatch):
-        f = _Counting(lambda x: 1.0 / x)
+        # The integrand is not finite at the centre, which no ladder panel sees.
+        f = lambda x: np.where(x == 0.5, np.inf, 1.0 / x)
+        nodes = []
+        counted = _Counting(lambda x: nodes.append(x.copy()) or f(x))
         log, reference_log = _recording(monkeypatch), {}
-        res = integrate_open(f, 0.0, 1.0, TIGHT)
+        res = integrate_open(counted, 0.0, 1.0, TIGHT)
         assert res.status == "divergent"
         assert res == reference_open(lambda x: 1.0 / x, 0.0, 1.0, TIGHT, reference_log)
         assert _same_panels(log, reference_log)
-        # One call, no refinement: the central panels in it are never used.
-        assert f.sizes == [15 * (res.lower.levels + res.upper.levels + 7)]
+        # One call, and no node between the ladders: the central interval is untouched.
+        assert counted.sizes == [15 * (res.lower.levels + res.upper.levels)]
+        window = quadrature.DIVERGENCE_WINDOW
+        assert np.all((nodes[0] <= window) | (nodes[0] >= 1.0 - window))
 
     def test_empty_ladder_makes_no_call(self):
         # Relative to 1e10 even the widest ladder panel is below the width floor.
@@ -327,9 +333,12 @@ class TestBatchedPanels:
         assert _same_panels(log, reference_log)
         assert result == reference
         assert reference.lower.exponent is not None
+        # One call for both ladders, then adaptive_quadrature's, unless a ladder diverges.
         levels = result.lower.levels + result.upper.levels
+        central = [] if result.status == "divergent" else [15 * 7]
+        assert counted.sizes[:2] == [15 * levels] + central
         bisections = (len(reference_log) - levels - 1) // 2
-        assert len(counted.sizes) - 1 <= _max_later_calls(bisections)
+        assert len(counted.sizes) - 2 <= _max_later_calls(bisections)
 
     def test_bad_value_in_an_unused_lookahead_panel_raises_nothing(self):
         # 7 x**6 is exact on one panel, so no bisection uses the panels below
@@ -340,14 +349,6 @@ class TestBatchedPanels:
         seen = lambda x: nodes.append(x.copy()) or f(x)
         assert adaptive_quadrature(seen, 0.0, 1.0, TIGHT) == reference_adaptive(f, 0.0, 1.0, TIGHT)
         assert bad in np.concatenate(nodes)
-        # A divergent ladder leaves the whole central subtree unused.
-        center = 0.5 * (0.01 + 0.99)
-        g = lambda x: np.where(x == center, np.inf, 1.0 / x)
-        nodes.clear()
-        seen = lambda x: nodes.append(x.copy()) or g(x)
-        reference = reference_open(lambda x: 1.0 / x, 0.0, 1.0, TIGHT)
-        assert integrate_open(seen, 0.0, 1.0, TIGHT) == reference
-        assert center in np.concatenate(nodes)
 
     def test_first_bad_ladder_panel_is_named(self, monkeypatch):
         # NaN below 1e-4: many ladder panels hold bad nodes; the outermost is named.

@@ -5,7 +5,6 @@ from folbend.spaces import (
     FocalVariety,
     ModelSpace,
     jacobi_spectrum,
-    mixed_scalar_curvature,
     parse_focal,
     parse_space,
     ricci_curvature,
@@ -86,32 +85,6 @@ class TestSpectrum:
         assert scalar_curvature(ModelSpace(Family.COMPLEX_PROJECTIVE, 2)) == 24.0
         assert scalar_curvature(ModelSpace(Family.QUATERNIONIC_PROJECTIVE, 2)) == 128.0
         assert ricci_curvature(ModelSpace(Family.CAYLEY_PLANE, 2)) == 36.0
-
-
-class TestMixedScalarCurvature:
-    def test_values(self):
-        assert mixed_scalar_curvature(ModelSpace(Family.SPHERE, 3), 1) == 2.0
-        assert mixed_scalar_curvature(ModelSpace(Family.SPHERE, 3), 3) == 0.0
-        assert mixed_scalar_curvature(ModelSpace(Family.COMPLEX_PROJECTIVE, 2), 2) == 4.0
-
-    def test_scaling(self):
-        assert mixed_scalar_curvature(ModelSpace(Family.SPHERE, 5, 3.0), 2) == 2 * 3 * 3.0
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            mixed_scalar_curvature(ModelSpace(Family.COMPLEX_PROJECTIVE, 2), 1)
-        with pytest.raises(ValueError):
-            mixed_scalar_curvature(ModelSpace(Family.QUATERNIONIC_PROJECTIVE, 2), 2)
-        with pytest.raises(ValueError):
-            mixed_scalar_curvature(ModelSpace(Family.CAYLEY_PLANE, 2), 4)
-        # q = n is always a valid multiple.
-        assert mixed_scalar_curvature(ModelSpace(Family.CAYLEY_PLANE, 2), 16) == 0.0
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            mixed_scalar_curvature(ModelSpace(Family.SPHERE, 3), 0)
-        with pytest.raises(ValueError):
-            mixed_scalar_curvature(ModelSpace(Family.SPHERE, 3), 4)
 
 
 class TestFocalVariety:

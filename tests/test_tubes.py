@@ -232,7 +232,7 @@ class TestCatalog:
         theta = reduce(np.multiply, np.where(normal, np.sin(x) / root, np.cos(x)) ** mult)
         assert np.array_equal(prof.alpha_values(r), alpha)
         assert np.array_equal(prof.theta(r), theta)
-        assert np.array_equal(prof.bending_density(r),
+        assert np.array_equal(prof.bending_rows(r)[0],
                               0.5 * reduce(np.add, mult * alpha ** 2) * theta)
 
     def test_sum_alpha_sq_matches_branches(self):
@@ -241,7 +241,7 @@ class TestCatalog:
         expected = 2 * (1 / math.tan(r)) ** 2 + 2 * math.tan(r) ** 2
         assert float(sum_alpha_sq(prof, r)) == pytest.approx(expected, rel=1e-13)
         # The bending density is half the square sum times the density.
-        assert float(prof.bending_density(r)) == pytest.approx(
+        assert float(prof.bending_rows(r)[0, 0]) == pytest.approx(
             0.5 * expected * float(prof.theta(r)), rel=1e-13)
 
     def test_reordered_preserves_values(self):
@@ -250,7 +250,7 @@ class TestCatalog:
         r = np.linspace(0.1, 1.4, 7)
         assert np.allclose(prof.theta(r), rev.theta(r), rtol=1e-14)
         assert np.allclose(sum_alpha_sq(prof, r), sum_alpha_sq(rev, r), rtol=1e-14)
-        assert np.allclose(prof.bending_density(r), rev.bending_density(r), rtol=1e-14)
+        assert np.allclose(prof.bending_rows(r)[0], rev.bending_rows(r)[0], rtol=1e-14)
 
     @pytest.mark.parametrize("space,focal,orders", [
         ("S:2", "point", (1, 1)), ("S:5", "point", (4, 4)), ("RP:4", "point", (3, 0)),
@@ -272,7 +272,7 @@ class TestCatalog:
         r = np.linspace(0.0, prof.mu, 37)[1:-1]
         rows = prof.bending_rows(r)
         assert rows.shape == (2, r.size)
-        assert np.array_equal(rows[0], prof.bending_density(r))
+        assert np.array_equal(rows[0], 0.5 * sum_alpha_sq(prof, r) * prof.theta(r))
         assert np.array_equal(rows[1], prof.theta(r))
 
     @pytest.mark.parametrize("space,focal", CATALOG)
