@@ -17,11 +17,18 @@ parts), mean-curvature norms, second mean curvatures, and the slack of the
 inequalities relating them.  Terms are numpy array expressions and every
 sum is a correctly rounded ``math.fsum``, so results do not depend on the
 order of the terms and are reproducible bit for bit.
+
+Each block is reduced in one pass, cached on its ``TorsionCoefficients``
+object: the sums, the sigma slack and the largest magnitudes of its parts.
+Every function below reads that pass; ``classify`` applies its tolerance to
+the cached maxima, so nothing cached depends on a tolerance.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -68,7 +75,10 @@ class TorsionCoefficients:
     """Torsion coefficient blocks of a splitting at one point.
 
     ``vertical`` has shape (q, q, n-q) and ``horizontal`` (n-q, n-q, q).
-    Arrays are copied and frozen on construction; derived scalars on first use.
+    Arrays are copied and frozen on construction.  On first use each block
+    is reduced in one pass, and the result is kept in this object's
+    ``__dict__``: the blocks are frozen, so it stays valid, and an equal
+    but distinct object computes its own.
     """
 
     dims: SplitDims
@@ -85,22 +95,20 @@ class TorsionCoefficients:
             raise ValueError(f"horizontal block must have shape {(h, h, q)}, got {horiz.shape}")
         if not (np.all(np.isfinite(vert)) and np.all(np.isfinite(horiz))):
             raise ValueError("torsion coefficients must be finite")
+        # Every square, sum and slack below is at most (n+2)**5 * scale**2 in
+        # magnitude, so under this bound none overflows, inside fsum or after.
+        bound = math.sqrt(sys.float_info.max / (self.dims.n + 2) ** 5)
+        scale = max(float(np.max(np.abs(block), initial=0.0)) for block in (vert, horiz))
+        if scale > bound:
+            raise ValueError(f"coefficient scale {scale:.6g} exceeds {bound:.6g} at n = {self.dims.n}")
         vert.flags.writeable = False
         horiz.flags.writeable = False
         object.__setattr__(self, "vertical", vert)
         object.__setattr__(self, "horizontal", horiz)
 
     @functools.cached_property
-    def _derived(self) -> DerivedTensors:
-        # Kept in this object's __dict__: the blocks are frozen, so the value
-        # stays valid, and an equal but distinct object computes its own.
-        sigma_v, sff_v, skew_v, mean_v, mu_v = _block_scalars(self.vertical)
-        sigma_h, sff_h, skew_h, mean_h, mu_h = _block_scalars(self.horizontal)
-        return DerivedTensors(
-            sigma_v=sigma_v, sigma_h=sigma_h, norm_sq=2.0 * (sigma_v + sigma_h),
-            sff_v_sq=sff_v, sff_h_sq=sff_h, skew_v_sq=skew_v, skew_h_sq=skew_h,
-            mean_v_sq=mean_v, mean_h_sq=mean_h, mu_v=mu_v, mu_h=mu_h,
-        )
+    def _blocks(self) -> tuple[_BlockPass, _BlockPass]:
+        return _block_pass(self.vertical), _block_pass(self.horizontal)
 
 
 @dataclass(frozen=True)
@@ -129,38 +137,58 @@ class DerivedTensors:
     mu_h: float
 
 
+_BlockPass = collections.namedtuple("_BlockPass", "sigma sff skew mean mu sigma_slack "
+                                    "max_entry max_sym max_skew max_off_sym max_spread")
+
+
 def _fsum(terms: np.ndarray) -> float:
     """Correctly rounded sum of every entry, whatever their order."""
     return math.fsum(terms.ravel().tolist())
 
 
-def _pair_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a < b, a != b) as (d, d) masks over the first two block indices."""
+def _block_pass(block: np.ndarray) -> _BlockPass:
+    """Every sum and maximum the functions below read of one (d, d, c) block.
+
+    In order: the square sum; the squared norms of the symmetric part, the
+    skew part and the trace; the second mean curvature; the sigma slack; the
+    largest |entry|, |sym|, |skew|, off-diagonal |sym| and diagonal spread.
+    None depends on a tolerance.  The sigma slack is sigma - 2*mu/(d-1)
+    expanded, for d >= 2, into a manifestly nonnegative quadratic form (its
+    last terms vanish at d = 2), so it is exactly >= 0; for d = 1 the
+    quotient is taken to be zero and the slack is sigma itself.
+    """
+    d = block.shape[0]
     idx = np.arange(d)
-    return idx[:, None] < idx, idx[:, None] != idx
-
-
-def _block_scalars(block: np.ndarray) -> tuple[float, float, float, float, float]:
-    """(square sum, sff^2, skew^2, mean^2, mu) for one (d, d, c) block."""
-    upper, _ = _pair_masks(block.shape[0])
+    upper, off = idx[:, None] < idx, idx[:, None] != idx  # a < b, a != b
     swapped = block.transpose(1, 0, 2)  # swapped[a, b, j] = block[b, a, j]
     diag = block.diagonal().T  # diag[a, j] = block[a, a, j]
+    squares = block * block
     sym = block + swapped
     anti = block - swapped
+    sym_sq = sym * sym
+    spread = diag[:, None, :] - diag[None, :, :]
     traces = [math.fsum(column) for column in diag.T.tolist()]  # one per j
     minors = diag[:, None, :] * diag[None, :, :] - block * swapped
-    return (
-        _fsum(block * block),
-        _fsum(0.25 * (sym * sym)),
-        _fsum(0.25 * (anti * anti)),
-        math.fsum(t * t for t in traces),
-        _fsum(minors[upper]),
+    sigma = _fsum(squares)
+    slack_terms = (spread * spread)[upper], sym_sq[upper], (d - 2) * squares[off]
+    abs_sym = np.abs(sym)
+    return _BlockPass(
+        sigma, _fsum(0.25 * sym_sq), _fsum(0.25 * (anti * anti)),
+        math.fsum(t * t for t in traces), _fsum(minors[upper]),
+        sigma if d < 2 else _fsum(np.concatenate(slack_terms, axis=None)) / (d - 1),
+        *(float(np.max(x, initial=0.0)) for x in (
+            np.abs(block), abs_sym, np.abs(anti), abs_sym[off], np.abs(spread[upper]))),
     )
 
 
 def derive(coeffs: TorsionCoefficients) -> DerivedTensors:
-    """Every derived scalar of the coefficient blocks, computed once per object."""
-    return coeffs._derived
+    """Every derived scalar of the coefficient blocks, from the object's cached passes."""
+    v, h = coeffs._blocks
+    return DerivedTensors(
+        sigma_v=v.sigma, sigma_h=h.sigma, norm_sq=2.0 * (v.sigma + h.sigma),
+        sff_v_sq=v.sff, sff_h_sq=h.sff, skew_v_sq=v.skew, skew_h_sq=h.skew,
+        mean_v_sq=v.mean, mean_h_sq=h.mean, mu_v=v.mu, mu_h=h.mu,
+    )
 
 
 def mu_identity_residual(coeffs: TorsionCoefficients) -> tuple[float, float]:
@@ -169,32 +197,8 @@ def mu_identity_residual(coeffs: TorsionCoefficients) -> tuple[float, float]:
     Both sides come from independent index sums, so a nonzero residual
     beyond round-off indicates an algebra bug, not input noise.
     """
-    d = coeffs._derived
-    res_v = 2.0 * d.mu_v - (d.mean_v_sq + d.skew_v_sq - d.sff_v_sq)
-    res_h = 2.0 * d.mu_h - (d.mean_h_sq + d.skew_h_sq - d.sff_h_sq)
-    return res_v, res_h
-
-
-def _sigma_slack_block(block: np.ndarray) -> float:
-    """Slack of sigma >= 2*mu/(d-1) for one block, as a sum of squares.
-
-    For d >= 2 the difference sigma - 2*mu/(d-1) expands into the manifestly
-    nonnegative quadratic form below; evaluating that form (rather than the
-    difference) keeps the result exactly >= 0.  For d = 1 the quotient
-    mu/(d-1) is taken to be zero, so the slack is sigma itself.
-    """
-    d = block.shape[0]
-    squares = block * block
-    if d < 2:
-        return _fsum(squares)
-    upper, off = _pair_masks(d)
-    diag = block.diagonal().T
-    spread = diag[:, None, :] - diag[None, :, :]
-    sym = block + block.transpose(1, 0, 2)
-    terms = [(spread * spread)[upper], (sym * sym)[upper]]
-    if d > 2:
-        terms.append((d - 2) * squares[off])
-    return _fsum(np.concatenate(terms, axis=None)) / (d - 1)
+    v, h = coeffs._blocks
+    return 2.0 * v.mu - (v.mean + v.skew - v.sff), 2.0 * h.mu - (h.mean + h.skew - h.sff)
 
 
 def sigma_inequality_slack(coeffs: TorsionCoefficients) -> tuple[float, float]:
@@ -205,25 +209,21 @@ def sigma_inequality_slack(coeffs: TorsionCoefficients) -> tuple[float, float]:
     characterizes umbilical blocks when the block is 2-dimensional, and
     umbilical integrable blocks in dimension >= 3.
     """
-    return (
-        _sigma_slack_block(coeffs.vertical),
-        _sigma_slack_block(coeffs.horizontal),
-    )
+    v, h = coeffs._blocks
+    return v.sigma_slack, h.sigma_slack
 
 
 def mean_curvature_bound_slack(coeffs: TorsionCoefficients) -> float:
     """Slack of ((n+2)**2/8)*norm_sq >= mean_v_sq + mean_h_sq."""
-    n = coeffs.dims.n
-    d = coeffs._derived
-    return ((n + 2) ** 2 / 8.0) * d.norm_sq - (d.mean_v_sq + d.mean_h_sq)
+    v, h = coeffs._blocks
+    return ((coeffs.dims.n + 2) ** 2 / 8.0) * (2.0 * (v.sigma + h.sigma)) - (v.mean + h.mean)
 
 
 def block_mean_curvature_slacks(coeffs: TorsionCoefficients) -> tuple[float, float]:
     """Sharper per-block forms: ((q+1)*sigma_v - mean_v_sq, (n-q+1)*sigma_h - mean_h_sq)."""
-    q = coeffs.dims.q
-    h = coeffs.dims.horiz
-    d = coeffs._derived
-    return (q + 1) * d.sigma_v - d.mean_v_sq, (h + 1) * d.sigma_h - d.mean_h_sq
+    q, horiz = coeffs.dims.q, coeffs.dims.horiz
+    v, h = coeffs._blocks
+    return (q + 1) * v.sigma - v.mean, (horiz + 1) * h.sigma - h.mean
 
 
 @dataclass(frozen=True)
@@ -238,47 +238,24 @@ class BlockFlags:
     h_umbilical: bool
 
 
-def _classify_block(block: np.ndarray, thresh: float) -> tuple[bool, bool, bool]:
-    upper, off = _pair_masks(block.shape[0])
-    swapped = block.transpose(1, 0, 2)
-    sym = np.abs(block + swapped)
-    diag = block.diagonal().T
-    spread = np.abs(diag[:, None, :] - diag[None, :, :])[upper]
-    limit = 2.0 * thresh
-    geodesic = bool(np.max(sym, initial=0.0) <= limit)
-    integrable = bool(np.max(np.abs(block - swapped), initial=0.0) <= limit)
-    umbilical = bool(np.max(sym[off], initial=0.0) <= limit
-                     and np.max(spread, initial=0.0) <= limit)
-    return geodesic, integrable, umbilical
-
-
 def classify(coeffs: TorsionCoefficients, tol: float = 1e-12) -> BlockFlags:
     """Flag geodesic / integrable / umbilical structure per block.
 
     The tolerance is relative to the max-magnitude coefficient, so exact
-    zero input classifies as everything at once.
+    zero input classifies as everything at once.  It is applied to the
+    maxima cached on ``coeffs``, so no tolerance is kept there.
     """
     if not 0 <= tol < math.inf:
         raise ValueError("tolerance must be finite and nonnegative")
-    thresh = tol * max(float(np.max(np.abs(block), initial=0.0))
-                       for block in (coeffs.vertical, coeffs.horizontal))
-    v = _classify_block(coeffs.vertical, thresh)
-    h = _classify_block(coeffs.horizontal, thresh)
-    return BlockFlags(
-        v_geodesic=v[0], v_integrable=v[1], v_umbilical=v[2],
-        h_geodesic=h[0], h_integrable=h[1], h_umbilical=h[2],
-    )
-
-
-def _rng(seed: Union[int, np.random.Generator]) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+    limit = 2.0 * (tol * max(b.max_entry for b in coeffs._blocks))
+    v, h = [(b.max_sym <= limit, b.max_skew <= limit, b.max_off_sym <= limit and b.max_spread <= limit)
+            for b in coeffs._blocks]
+    return BlockFlags(*v, *h)
 
 
 def random_coefficients(dims: SplitDims, seed: Union[int, np.random.Generator] = 0) -> TorsionCoefficients:
     """Coefficient blocks with entries uniform in [-1, 1]."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     q, h = dims.q, dims.horiz
     return TorsionCoefficients(
         dims,
@@ -289,15 +266,12 @@ def random_coefficients(dims: SplitDims, seed: Union[int, np.random.Generator] =
 
 def _umbilical_block(d: int, c: int, rng: np.random.Generator, integrable: bool) -> np.ndarray:
     block = np.zeros((d, d, c))
-    for j in range(c):
-        block[np.arange(d), np.arange(d), j] = rng.uniform(-1.0, 1.0)
+    block[np.arange(d), np.arange(d), :] = rng.uniform(-1.0, 1.0, size=c)
     if not integrable:
-        for j in range(c):
-            for a in range(d):
-                for b in range(a + 1, d):
-                    s = rng.uniform(-1.0, 1.0)
-                    block[a, b, j] = s
-                    block[b, a, j] = -s
+        a, b = np.triu_indices(d, 1)
+        s = rng.uniform(-1.0, 1.0, size=(c, a.size)).T  # drawn j by j, pairs in row order
+        block[a, b, :] = s
+        block[b, a, :] = -s
     return block
 
 
@@ -313,7 +287,7 @@ def umbilical_coefficients(
     With ``integrable_*`` the off-diagonal part is dropped entirely, which
     additionally kills the integrability tensor of that block.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     q, h = dims.q, dims.horiz
     return TorsionCoefficients(
         dims,

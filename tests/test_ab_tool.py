@@ -1,0 +1,29 @@
+"""``tools/ab.py`` run on this checkout against itself.
+
+Both sides are the same source, so the tool must exit 0 and report every
+answer identical.  It runs in a child process: it imports each side's
+``folbend`` afresh, which would replace the modules these tests hold.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["tube_sweep", "splitting_algebra"])
+def test_checkout_against_itself(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), workload, str(ROOT), str(ROOT),
+         "--seeds", "1", "--requests", "40"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (result,) = json.loads(proc.stdout.splitlines()[-1])
+    assert result["workload"] == workload and result["requests"] == 40
+    assert result["identical_answers"] is True
+    assert result["base"]["causes"] == result["change"]["causes"] == {}
+    assert ("calls_per_op" in result["base"]) == (workload == "tube_sweep")

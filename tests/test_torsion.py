@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -424,27 +426,82 @@ class TestDeriveOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
-        original = folbend.torsion._block_scalars
+        original = folbend.torsion._block_pass
 
         def counting(block):
             seen.append(block.shape)
             return original(block)
 
-        monkeypatch.setattr(folbend.torsion, "_block_scalars", counting)
+        monkeypatch.setattr(folbend.torsion, "_block_pass", counting)
         return seen
 
     def test_one_computation_per_object(self, calls):
+        # One pass per block, whatever is asked of the object afterwards.
         dims = SplitDims(9, 4)
         c = random_coefficients(dims, seed=21)
         assert calls == []
         first = all_answers(c)
         assert calls == [(4, 4, 5), (5, 5, 4)]
+        for tol in (0.0, 1e-12, 1e-8):
+            classify(c, tol)
         assert all_answers(c) == first
-        assert len(calls) == 2
+        assert calls == [(4, 4, 5), (5, 5, 4)]
 
     def test_equal_but_distinct_object_computes_again(self, calls):
         c = random_coefficients(SplitDims(6, 2), seed=4)
         twin = TorsionCoefficients(c.dims, c.vertical, c.horizontal)
-        assert derive(twin) == derive(c)
-        assert derive(twin) is not derive(c)
-        assert len(calls) == 4
+        assert all_answers(twin) == all_answers(c)
+        assert calls == [(2, 2, 4), (4, 4, 2)] * 2
+
+    def test_cache_keeps_no_tolerance(self):
+        # One object classified at each tolerance in turn, and a fresh
+        # object per tolerance, give the same flags.
+        near = np.zeros((2, 2, 1))
+        near[0, 0, 0], near[1, 1, 0] = 1e6, 1e6 + 1e-4
+        objects = [
+            TorsionCoefficients(SplitDims(3, 2), near, np.zeros((1, 1, 2))),
+            umbilical_coefficients(SplitDims(6, 3), seed=7),
+            random_coefficients(SplitDims(5, 2), seed=3),
+        ]
+        tols = (0.0, 1e-12, 1e-8, 1e-12)
+        for c in objects:
+            got = [classify(c, tol) for tol in tols]
+            fresh = [classify(TorsionCoefficients(c.dims, c.vertical, c.horizontal), tol)
+                     for tol in tols]
+            assert got == fresh
+        near_flags = [classify(objects[0], tol).v_umbilical for tol in tols]
+        assert near_flags == [False, False, True, False]
+
+
+def largest_scale(n):
+    # The documented bound: every invariant is at most (n+2)**5 * scale**2.
+    return math.sqrt(sys.float_info.max / (n + 2) ** 5)
+
+
+class TestCoefficientScale:
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_huge_scale_rejected(self, scale):
+        # Finite blocks that once passed construction: at 1e154 five functions
+        # raised OverflowError inside fsum, at 1e160 derive returned inf and
+        # the second mean curvature nan.
+        c = random_coefficients(SplitDims(4, 2), seed=3)
+        with pytest.raises(ValueError, match="coefficient scale"):
+            TorsionCoefficients(c.dims, scale * c.vertical, scale * c.horizontal)
+
+    @pytest.mark.parametrize("dims", [SplitDims(2, 1), SplitDims(4, 2), SplitDims(9, 4),
+                                      SplitDims(33, 1), SplitDims(33, 16)])
+    def test_largest_accepted_scale_is_finite(self, dims):
+        bound = largest_scale(dims.n)
+        q, h = dims.q, dims.horiz
+        rng = np.random.default_rng(dims.n)
+        signs = [np.ones((q, q, h)), np.ones((h, h, q)),
+                 rng.choice([-1.0, 1.0], (q, q, h)), rng.choice([-1.0, 1.0], (h, h, q))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for vert, horiz in (signs[:2], signs[2:]):
+                got = all_answers(TorsionCoefficients(dims, bound * vert, bound * horiz))
+                values = [*got["derived"], *got["residual"], *got["sigma_slack"],
+                          got["mean_slack"], *got["block_slacks"]]
+                assert all(math.isfinite(x) for x in values)
+                with pytest.raises(ValueError, match="coefficient scale"):
+                    TorsionCoefficients(dims, np.nextafter(bound, math.inf) * vert, horiz)

@@ -2,6 +2,7 @@
 
     python tools/ab.py tube_sweep BASE CHANGE [--seeds 11 12] [--requests 3000]
     python tools/ab.py cli_sessions BASE CHANGE [--seeds 61] [--requests 200]
+    python tools/ab.py splitting_algebra BASE CHANGE [--seeds 1 2] [--requests 3000]
 
 BASE and CHANGE are source checkouts (directories holding ``src/folbend``).
 The requests of the workload's stream in ``perfbench/workloads.py`` (read,
@@ -9,10 +10,13 @@ not changed) are served by both sides in turn, the first side alternating
 from one request to the next.  Both sides thus run on the same machine
 state, which separate 35 s benchmark runs on a shared machine do not give.
 
-``tube_sweep`` imports both checkouts into this process as separate module
-objects.  Per side it prints the mean and median wall time per operation,
-and from a second, untimed pass the integrand calls and nodes per
-operation.  ``cli_sessions`` runs one fresh ``python -m folbend`` process
+``tube_sweep`` and ``splitting_algebra`` import both checkouts into this
+process as separate module objects.  Each side builds the input of a
+request with its own ``prepare``, outside the timed span, so a
+``splitting_algebra`` side times its own ``TorsionCoefficients`` class on a
+fresh object.  Per side the tool prints the mean and median wall time per
+operation, and for ``tube_sweep``, from a second, untimed pass, the
+integrand calls and nodes per operation.  ``cli_sessions`` runs one fresh ``python -m folbend`` process
 of the side's checkout per request.  Per side it prints the median wall
 time and the mean CPU time of the child process (user plus system, from
 ``getrusage(RUSAGE_CHILDREN)``) per operation.
@@ -42,9 +46,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
-WORKLOADS = ("tube_sweep", "cli_sessions")
-WARM_UP = {"tube_sweep": 60, "cli_sessions": 4}
-REQUESTS = {"tube_sweep": 3000, "cli_sessions": 200}
+WORKLOADS = {"tube_sweep": workloads.TubeSweep, "cli_sessions": workloads.CliSessions,
+             "splitting_algebra": workloads.SplittingAlgebra}
+WARM_UP = {"tube_sweep": 60, "cli_sessions": 4, "splitting_algebra": 60}
+REQUESTS = {"tube_sweep": 3000, "cli_sessions": 200, "splitting_algebra": 3000}
 
 
 def _load(workload: str, checkout: str):
@@ -59,7 +64,7 @@ def _load(workload: str, checkout: str):
     forget()
     sys.path.insert(0, str(Path(checkout) / "src"))
     try:
-        return workloads.TubeSweep()
+        return WORKLOADS[workload]()
     finally:
         sys.path.pop(0)
         forget()
@@ -88,12 +93,13 @@ def alternate(sides: tuple, requests: list) -> tuple[list[dict], bool]:
         answers = []
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             wl, run = sides[side], runs[side]
+            inp = wl.prepare(req)
             cpu0, t0 = _child_cpu(), time.perf_counter()
-            out = wl.execute(req)
+            out = wl.execute(inp)
             run["wall"].append(time.perf_counter() - t0)
             run["cpu"].append(_child_cpu() - cpu0)
             answers.append(_answer(out))
-            cause = wl.judge(req, req, out)
+            cause = wl.judge(req, inp, out)
             if cause is not None:
                 run["causes"][cause] += 1
         same = same and answers[0] == answers[1]
@@ -126,7 +132,7 @@ def compare(workload: str, sides: tuple, seed: int, n: int) -> dict:
     requests = list(itertools.islice(sides[0].requests(seed), n))
     for req in requests[:WARM_UP[workload]]:
         for wl in sides:
-            wl.execute(req)
+            wl.execute(wl.prepare(req))
     runs, same = alternate(sides, requests)
     result = {"workload": workload, "seed": seed, "requests": n, "identical_answers": same}
     for name, wl, run in zip(("base", "change"), sides, runs):
@@ -135,6 +141,7 @@ def compare(workload: str, sides: tuple, seed: int, n: int) -> dict:
             side["cpu_ms_per_op"] = 1e3 * statistics.fmean(run["cpu"])
         else:
             side["mean_ms"] = 1e3 * statistics.fmean(run["wall"])
+        if workload == "tube_sweep":
             side.update(_counts(wl, requests))
         result[name] = {**side, "causes": dict(run["causes"])}
     for key in result["base"]:
