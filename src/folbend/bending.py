@@ -136,7 +136,7 @@ def _per_volume(
             # Each edge is rounded in r and again in x = sqrt(lam) * r: about
             # two ulps, which move the numerator by the density there.
             edge = np.abs(rows(np.array(window))[0])
-            error += 2.0 * (edge[0] * math.ulp(w0) + edge[1] * math.ulp(w1)) / vol
+            error += float(2.0 * (edge[0] * math.ulp(w0) + edge[1] * math.ulp(w1)) / vol)
     except ValueError as exc:  # a non-finite density value
         raise UndecidedError(f"the density of {prof.space.label} / {prof.focal.label} "
                              f"overflows at this curvature scale: {exc}") from exc
@@ -202,7 +202,9 @@ def torus_bending(
     sin(t)^2 / (R + r cos(t))^2 over both angles (the phi integral is a
     constant factor 2*pi), together with its upper bound 2*(pi/(R-r))^2.
     ``area_weighted`` switches to the variant with the surface area element
-    r*(R + r cos t) dt dphi in the integrand.
+    r*(R + r cos t) dt dphi in the integrand.  Radii so small or so large
+    that the integrand, the value or the bound is not a finite float raise
+    UndecidedError.
     """
     if not (math.isfinite(big_radius) and 0 < small_radius < big_radius):
         raise ValueError("torus radii must satisfy 0 < small_radius < big_radius")
@@ -214,13 +216,16 @@ def torus_bending(
             return base * r * (R + r * np.cos(t))
         return base
 
-    val, err = adaptive_quadrature(integrand, 0.0, 2.0 * math.pi, quad)
-    return TorusResult(
-        value=math.pi * val,
-        error_estimate=math.pi * err,
-        upper_bound=2.0 * (math.pi / (R - r)) ** 2,
-        area_weighted=area_weighted,
-    )
+    try:
+        val, err = adaptive_quadrature(integrand, 0.0, 2.0 * math.pi, quad)
+        res = TorusResult(math.pi * val, math.pi * err, 2.0 * (math.pi / (R - r)) ** 2,
+                          area_weighted)
+        if not all(map(math.isfinite, (res.value, res.error_estimate, res.upper_bound))):
+            raise OverflowError("a result is past the float range")
+    except (ValueError, OverflowError) as exc:  # also a non-finite integrand
+        raise UndecidedError(f"the torus integral or its bound at R={R!r}, r={r!r} "
+                             "is not a finite float") from exc
+    return res
 
 
 def complex_radial_density(m: int, lam: float = 1.0):

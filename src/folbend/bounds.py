@@ -6,8 +6,12 @@ space of positive curvature scale lam is
 
     B / Vol  >=  coefficient * q * (n - q) * lam,
 
-where the coefficient depends on how q sits inside n (cases I, II, III
-below).  The product q*(n-q)*lam is used verbatim even on spaces whose
+where the table ``_CASES`` gives each case its condition and coefficient:
+I (q = 1) and I' (q = n - 1) have 1/(2(n-2)), II (2q = n) 1/(n-2), III-
+(q <= n-2) 1/(2(n-q-1)) and III+ (q >= 2) 1/(2(q-1)).  The paper's labels
+I and III resolve to the reading whose condition holds; where both
+readings of III hold, the larger coefficient wins, and III- wins a tie.
+The product q*(n-q)*lam is used verbatim even on spaces whose
 invariant-subspace dimensions would constrain q, so on the projective
 families the bound is valid but not sharp; ``einstein_lower_bound`` gives
 the variant driven by the scalar curvature instead.
@@ -30,14 +34,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bending import BendingResult, _per_volume, _weighted_rows, total_bending
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, UndecidedError
 from .spaces import (
     FocalVariety,
     ModelSpace,
     parse_focal,
     parse_space,
     ricci_curvature,
-    scalar_curvature,
 )
 from .tubes import NotComputableError, tube_profile
 
@@ -68,28 +71,37 @@ class BoundCase(Enum):
     III_HIGH = "III+"     # generic q, constant tuned to q
 
 
-def _case_coefficient(case: BoundCase, n: int, q: int) -> Fraction:
-    if case is BoundCase.I_Q1:
-        if q != 1:
-            raise ValueError("case I requires q = 1")
-        return Fraction(1, 2 * (n - 2))
-    if case is BoundCase.I_CODIM1:
-        if q != n - 1:
-            raise ValueError("case I' requires q = n - 1")
-        return Fraction(1, 2 * (n - 2))
-    if case is BoundCase.II_HALF:
-        if 2 * q != n:
-            raise ValueError("case II requires 2q = n")
-        return Fraction(1, n - 2)
-    if case is BoundCase.III_LOW:
-        if q > n - 2:
-            raise ValueError("case III- requires q <= n - 2")
-        return Fraction(1, 2 * (n - q - 1))
-    if case is BoundCase.III_HIGH:
-        if q < 2:
-            raise ValueError("case III+ requires q >= 2")
-        return Fraction(1, 2 * (q - 1))
-    raise ValueError(f"unknown bound case {case!r}")
+# Each case: the paper's label, the condition on (n, q) in words and as a
+# test, and the denominator d of the coefficient 1/d of q*(n-q)*lam.
+_CASES = {
+    BoundCase.I_Q1: ("I", "q = 1", lambda n, q: q == 1, lambda n, q: 2 * (n - 2)),
+    BoundCase.I_CODIM1: ("I", "q = n - 1", lambda n, q: q == n - 1, lambda n, q: 2 * (n - 2)),
+    BoundCase.II_HALF: ("II", "2q = n", lambda n, q: 2 * q == n, lambda n, q: n - 2),
+    BoundCase.III_LOW: ("III", "q <= n - 2", lambda n, q: q <= n - 2, lambda n, q: 2 * (n - q - 1)),
+    BoundCase.III_HIGH: ("III", "q >= 2", lambda n, q: q >= 2, lambda n, q: 2 * (q - 1)),
+}
+
+
+def _reading(case, n: int, q: int) -> tuple[BoundCase, Fraction]:
+    """The case a label, a ``BoundCase`` or its value names at (n, q), and its
+    coefficient: of the readings that hold, the largest, the first on a tie."""
+    if n < 3:
+        raise ValueError("the bending bounds need ambient dimension >= 3")
+    if not isinstance(q, int) or not (1 <= q <= n - 1):
+        raise ValueError("leaf dimension q must be an integer in [1, n-1]")
+    readings = [c for c, row in _CASES.items() if row[0] == case] or [BoundCase(case)]
+    held = [(c, Fraction(1, _CASES[c][3](n, q))) for c in readings if _CASES[c][2](n, q)]
+    if not held:
+        raise ValueError(f"case {getattr(case, 'value', case)} requires "
+                         + " or ".join(_CASES[c][1] for c in readings))
+    return max(held, key=lambda pair: pair[1])
+
+
+def _finite(value: float, space: ModelSpace) -> float:
+    if not math.isfinite(value):
+        raise UndecidedError(f"the bound on {space.label} exceeds the float range "
+                             f"at lam = {space.lam!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -101,29 +113,26 @@ class LowerBound:
     value: float
 
 
-def lower_bound(space: ModelSpace, q: int, case: BoundCase) -> LowerBound:
-    """Lower bound for B/Vol of a foliation with q-dimensional leaves."""
+def lower_bound(space: ModelSpace, q: int, case: BoundCase | str) -> LowerBound:
+    """Lower bound for B/Vol of a foliation with q-dimensional leaves in the
+    ``case`` that a ``BoundCase``, its value or the paper's label I, II or III
+    names (module docstring); a bound past the float range is undecided."""
     n = space.dim
-    if n < 3:
-        raise ValueError("the bending bounds need ambient dimension >= 3")
-    if not isinstance(q, int) or not (1 <= q <= n - 1):
-        raise ValueError("leaf dimension q must be an integer in [1, n-1]")
-    coeff = _case_coefficient(case, n, q)
-    value = float(coeff) * q * (n - q) * space.lam
+    case, coeff = _reading(case, n, q)
+    value = _finite(float(coeff) * q * (n - q) * space.lam, space)
     return LowerBound(case=case, n=n, q=q, coefficient=coeff, value=value)
 
 
 def einstein_lower_bound(space: ModelSpace) -> float:
-    """Scalar-curvature form of the case-I bound: tau / (2 n (n - 2)).
+    """Scalar-curvature form of the case-I bound, tau / (2 n (n - 2)): the
+    case-I coefficient times the exact Ric/lam = n - 1 + 3 nu, times lam.
 
     On the projective families this is strictly stronger than
     ``lower_bound`` with the bare q*(n-q)*lam product; on constant
     curvature the two coincide.
     """
-    n = space.dim
-    if n < 3:
-        raise ValueError("the bending bounds need ambient dimension >= 3")
-    return scalar_curvature(space) / (2 * n * (n - 2))
+    ric = space.dim - 1 + 3 * space.invariant_count
+    return _finite(float(_reading(BoundCase.I_Q1, space.dim, 1)[1] * ric) * space.lam, space)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,11 @@ shortest round-trip form, so dumps(loads(text)) reproduces the bytes).
 Exit codes: 0 for an answered computation (divergence and catalog
 verdicts included, and also when the reader of stdout closes it early),
 1 when the reference table fails to reproduce or a self check fails, 2
-for usage errors (an invalid --lambda, a negative or non-finite table1
---rtol, an unparseable FOLBEND_* value, bending --csv with --json,
-check-integral --focal without --space, an --emit-profile that cannot be
-written: an unwritable path, or a not-computable pair, which has no
-profile), 3 when the quadrature cannot decide at the requested tolerance,
-or a tube density overflows (bending --space S:200 --lambda 1e-5) or its
-volume integral underflows at an extreme curvature scale.
+for usage errors (every ValueError: an invalid option or FOLBEND_* value,
+a case whose condition fails, an --emit-profile that cannot be written),
+3 when the answer is not decided (every UndecidedError: the quadrature
+misses its tolerance, or a density, a volume, a torus integral or a bound
+leaves the float range).  The README lists the cases.
 """
 from __future__ import annotations
 
@@ -38,7 +36,6 @@ from .bending import (
 )
 from .bounds import (
     DEFAULT_CHECK_PAIRS,
-    BoundCase,
     einstein_lower_bound,
     integral_formula_check,
     lower_bound,
@@ -253,25 +250,10 @@ def _cmd_check_integral(args) -> int:
     return 0 if all(r.holds for r in applicable) else 1
 
 
-_CASE_CHOICES = {c.value: c for c in BoundCase}
-
-
-def _resolve_case(label: str, n: int, q: int) -> BoundCase:
-    if label == "I":
-        return BoundCase.I_Q1 if q == 1 else BoundCase.I_CODIM1
-    if label == "III":
-        # pick the valid reading; prefer the one tuned to the smaller side
-        if q <= n - 2 and (q < 2 or n - q <= q):
-            return BoundCase.III_LOW
-        return BoundCase.III_HIGH
-    return _CASE_CHOICES[label]
-
-
 def _cmd_bounds(args) -> int:
     lam = _lam_from_args(args)
     space = parse_space(args.space, lam)
-    case = _resolve_case(args.case, space.dim, args.q)
-    bound = lower_bound(space, args.q, case)
+    bound = lower_bound(space, args.q, args.case)
     einstein = einstein_lower_bound(space)
     if args.json:
         _emit_json({"command": "bounds", "space": space.label, "lambda": lam,
@@ -419,8 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--q", type=int, required=True, help="leaf dimension")
     p.add_argument("--case", required=True,
-                   choices=sorted(set(_CASE_CHOICES) | {"I", "III"}),
-                   help="bound case (I, II, III, or an explicit variant)")
+                   help="bound case: I, II or III, or an explicit I', III- or III+")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("minimizer", parents=[quad_parent, lam_parent, json_parent],

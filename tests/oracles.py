@@ -229,3 +229,19 @@ def exact_bending(space, focal):
         return "divergent", None, "both" if at_zero and at_mu else ("0" if at_zero else "mu")
     value = sum((coef * _wallis_ratio(a, b, a0, b0) for (a, b), coef in terms.items()), Fraction(0))
     return "finite", value, None
+
+
+# The spaces and leaf dimensions over which the bound-case labels are checked.
+BOUND_SPACES = ([f"S:{m}" for m in range(3, 13)] + ["RP:3", "RP:4", "RP:7"]
+                + [f"CP:{m}" for m in range(2, 7)] + ["HP:2", "HP:3", "CaP2"])
+
+
+def label_reading(label, n, q):
+    """The explicit case value a bare label I or III names at (n, q): the rule
+    the command line used before the library resolved labels itself."""
+    if label == "I":
+        return "I" if q == 1 else "I'"
+    # III: the valid reading, preferring the one tuned to the smaller side
+    if q <= n - 2 and (q < 2 or n - q <= q):
+        return "III-"
+    return "III+"

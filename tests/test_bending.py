@@ -26,7 +26,7 @@ from folbend.bending import (
 )
 from folbend import cli, quadrature
 from folbend.bounds import integral_formula_check, table1_report
-from folbend.quadrature import QuadratureConfig, adaptive_quadrature, integrate_open
+from folbend.quadrature import QuadratureConfig, UndecidedError, adaptive_quadrature, integrate_open
 from folbend.spaces import FocalVariety, ModelSpace, parse_focal, parse_space
 from folbend.tubes import NotComputableError, tube_profile
 from oracles import exact_bending, reference_ratio, torus_riemann_oracle
@@ -267,6 +267,20 @@ class TestTorus:
         assert res.area_weighted is True
         assert res.value == pytest.approx(oracle, rel=1e-6)
         assert res.value != pytest.approx(torus_bending(2.0, 1.0, TIGHT).value)
+
+    @pytest.mark.parametrize("R,r,weighted", [
+        (3e-154, 1e-154, False), (3e-154, 1e-154, True),  # the bound overflows
+        (2e-155, 1e-155, False), (2e-155, 1e-155, True),  # the integrand overflows
+        (1.5e308, 1e308, True),                           # R + r overflows
+    ])
+    def test_past_the_float_range_is_undecided(self, R, r, weighted):
+        with np.errstate(all="ignore"), pytest.raises(UndecidedError):
+            torus_bending(R, r, area_weighted=weighted)
+
+    def test_small_radii_keep_their_bits(self):
+        res = torus_bending(1e-150, 5e-151)
+        assert res.upper_bound == 2.0 * (math.pi / (1e-150 - 5e-151)) ** 2
+        assert res.value == pytest.approx(1.2214664915510e301, rel=1e-12)
 
     @pytest.mark.parametrize("R,r", [(1.0, 1.0), (1.0, 2.0), (0.0, -1.0), (2.0, 0.0),
                                      (math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan)])

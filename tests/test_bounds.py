@@ -1,5 +1,6 @@
 """Lower bounds, the integral identity, and the reference table report."""
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,9 @@ from folbend.bounds import (
     minimizer_report,
     table1_report,
 )
-from folbend.quadrature import QuadratureConfig
-from folbend.spaces import parse_focal, parse_space, ricci_curvature
-from oracles import exact_bending
+from folbend.quadrature import QuadratureConfig, UndecidedError
+from folbend.spaces import parse_focal, parse_space, ricci_curvature, scalar_curvature
+from oracles import BOUND_SPACES, exact_bending, label_reading
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -82,6 +83,68 @@ class TestEinsteinBound:
     def test_value(self):
         # HP:2: tau = 8 * 16, bound = 128 / (2 * 8 * 6)
         assert einstein_lower_bound(parse_space("HP:2")) == pytest.approx(4.0 / 3.0)
+
+
+class TestCaseLabels:
+    @pytest.mark.parametrize("label", ["I", "III"])
+    @pytest.mark.parametrize("space", BOUND_SPACES)
+    def test_label_is_the_explicit_reading(self, space, label):
+        s = parse_space(space)
+        for q in range(s.dim + 1):
+            explicit = BoundCase(label_reading(label, s.dim, q))
+            try:
+                want = lower_bound(s, q, explicit)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    lower_bound(s, q, label)
+            else:
+                assert lower_bound(s, q, label) == want
+
+    @pytest.mark.parametrize("case", [BoundCase.I_CODIM1, BoundCase.II_HALF,
+                                      BoundCase.III_LOW, BoundCase.III_HIGH])
+    def test_value_names_its_case(self, case):
+        s = parse_space("S:8", 2.5)
+        for q in range(1, s.dim):
+            try:
+                want = lower_bound(s, q, case)
+            except ValueError:
+                with pytest.raises(ValueError, match=re.escape(f"case {case.value} requires")):
+                    lower_bound(s, q, case.value)
+            else:
+                assert lower_bound(s, q, case.value) == want
+
+    def test_label_without_reading_names_both_conditions(self):
+        with pytest.raises(ValueError, match="case I requires q = 1 or q = n - 1"):
+            lower_bound(parse_space("S:6"), 3, "I")
+
+    @pytest.mark.parametrize("case", ["IV", "i", None, 3])
+    def test_unknown_case_rejected(self, case):
+        with pytest.raises(ValueError):
+            lower_bound(parse_space("S:6"), 2, case)
+
+
+class TestBoundRange:
+    @pytest.mark.parametrize("space", BOUND_SPACES)
+    def test_einstein_is_the_scalar_curvature_quotient(self, space):
+        # bit-identical to tau / (2 n (n - 2)) at lam = 1, within 2 ulp elsewhere
+        for lam in (1.0, 2.5, 1e-3, 7.25e100):
+            s = parse_space(space, lam)
+            n = s.dim
+            tau_form = scalar_curvature(s) / (2 * n * (n - 2))
+            ulps = abs(einstein_lower_bound(s) - tau_form) / math.ulp(tau_form)
+            assert ulps <= (0 if lam == 1.0 else 2)
+
+    def test_einstein_at_the_largest_scale(self):
+        # the exact bound is 1e308; dividing tau overflowed on the way
+        assert einstein_lower_bound(parse_space("S:3", 1e308)) == 1e308
+        assert lower_bound(parse_space("S:3", 1e308), 1, "I").value == 1e308
+
+    def test_bound_past_the_float_range_is_undecided(self):
+        with pytest.raises(UndecidedError):
+            lower_bound(parse_space("CaP2", 1e308), 8, "II")  # 32/7 * 1e308
+        assert einstein_lower_bound(parse_space("CaP2", 1e308)) == pytest.approx(9 / 7 * 1e308)
+        with pytest.raises(UndecidedError):
+            einstein_lower_bound(parse_space("CaP2", 1.5e308))  # 9/7 * 1.5e308
 
 
 class TestIntegralFormula:

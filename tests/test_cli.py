@@ -1,4 +1,7 @@
 """Command line behavior: output formats, exit codes, environment knobs."""
+import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,11 @@ import warnings
 
 import pytest
 
-from folbend import cli
+from folbend import bending, bounds, cli
 from folbend.quadrature import UndecidedError
+from folbend.spaces import parse_focal, parse_space
+from oracles import BOUND_SPACES, label_reading
+from test_cli_golden import CASES as GOLDEN_CASES
 
 
 def run_main(argv, capsys):
@@ -187,6 +193,22 @@ class TestOtherCommands:
         code, _, err = run_main(["torus", "--R", "1", "--r", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("radii", [["--R", "3e-154", "--r", "1e-154"],
+                                       ["--R", "2e-155", "--r", "1e-155"]], ids=" ".join)
+    @pytest.mark.parametrize("weighted", [[], ["--area-weighted"]], ids=["flat", "weighted"])
+    def test_torus_past_the_float_range_is_undecided(self, radii, weighted, capsys):
+        # 3e-154: the bound 2 (pi/(R-r))^2 overflows (the flat value, about
+        # 1.197e308, does not); 2e-155: the integrand overflows
+        code, out, err = run_main(["torus", *radii, *weighted, "--json"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("folbend: undecided: ") and err.count("\n") == 1
+
+    def test_torus_at_small_finite_radii(self, capsys):
+        code, out, _ = run_main(["torus", "--R", "1e-150", "--r", "5e-151", "--json"], capsys)
+        assert code == 0
+        assert assert_json_round_trips(out)["value"] == pytest.approx(1.2214664915510e301,
+                                                                     rel=1e-12)
+
     def test_complex_radial(self, capsys):
         code, out, _ = run_main(["complex-radial", "--m", "3", "--json"], capsys)
         assert code == 0
@@ -222,6 +244,34 @@ class TestOtherCommands:
         code, _, err = run_main(["bounds", "--space", "S:5", "--q", "2",
                                  "--case", "II"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("label", ["I", "III"])
+    def test_bounds_label_prints_the_explicit_document(self, label, capsys):
+        for space in BOUND_SPACES:
+            n = parse_space(space).dim
+            for q in range(n + 1):
+                argv = ["bounds", "--space", space, "--q", str(q), "--json", "--case"]
+                want = run_main(argv + [label_reading(label, n, q)], capsys)
+                assert run_main(argv + [label], capsys)[:2] == want[:2], (space, q)
+
+    def test_bounds_label_without_reading_is_usage_error(self, capsys):
+        code, out, err = run_main(["bounds", "--space", "S:6", "--q", "3",
+                                   "--case", "I"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "folbend: case I requires q = 1 or q = n - 1\n"
+
+    def test_bounds_past_the_float_range_is_undecided(self, capsys):
+        code, out, err = run_main(["bounds", "--space", "CaP2", "--q", "8", "--case", "II",
+                                   "--lambda", "1e308", "--json"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("folbend: undecided: ")
+
+    def test_bounds_at_the_largest_scale(self, capsys):
+        code, out, _ = run_main(["bounds", "--space", "S:3", "--q", "1", "--case", "I",
+                                 "--lambda", "1e308", "--json"], capsys)
+        assert code == 0
+        payload = assert_json_round_trips(out)
+        assert payload["value"] == payload["einstein_value"] == 1e308
 
     def test_minimizer(self, capsys):
         code, out, _ = run_main(["minimizer", "--space", "S:3", "--json"], capsys)
@@ -469,3 +519,75 @@ def test_high_dimensional_sphere(capsys):
     payload = assert_json_round_trips(out)
     # geodesic spheres around a point of S^m: (m - 1) / (2 (m - 2))
     assert abs(payload["value_per_volume"] - 399 / 796) <= payload["error_estimate"]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+EDGE_JSON = [
+    ["torus", "--R", "1e-150", "--r", "5e-151", "--json"],
+    ["torus", "--R", "1e-150", "--r", "5e-151", "--area-weighted", "--json"],
+    ["bounds", "--space", "S:3", "--q", "1", "--case", "I", "--lambda", "1e308", "--json"],
+    ["bounds", "--space", "CaP2", "--q", "1", "--case", "III", "--lambda", "1e308", "--json"],
+    ["bending", "--space", "S:3", "--epsilon", "0.3", "--json"],
+    ["bending", "--space", "S:400", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in GOLDEN_CASES.values()
+                                  if "--json" in argv] + EDGE_JSON, ids=" ".join)
+def test_json_documents_hold_no_infinity_or_nan(argv, capsys):
+    # RFC 8259 JSON has no Infinity or NaN: a value past the float range is exit 3
+    _, out, _ = run_main(argv, capsys)
+    json.loads(out, parse_constant=_no_constant)
+
+
+def _results():
+    s3, point = parse_space("S:3"), parse_focal("point")
+    yield bending.total_bending(s3, point)
+    yield bending.total_bending(parse_space("S:2"), point)
+    yield bending.total_bending(parse_space("S:5", 2.5), parse_focal("sub:S:2"))
+    yield bending.epsilon_deformed_bending(s3, point, 0.3)
+    yield bending.epsilon_deformed_bending(parse_space("S:2"), point, 0.5)
+    yield bending.torus_bending(2.0, 1.0)
+    yield bending.torus_bending(2.0, 1.0, area_weighted=True)
+    yield bending.complex_radial_bending(3)
+    yield bending.energy(bending.total_bending(s3, point), 3)
+    yield bounds.lower_bound(parse_space("CP:3", 2.5), 3, "III")
+    yield bounds.integral_formula_check(s3, point)
+    yield bounds.table1_report()
+    yield bounds.minimizer_report(parse_space("CP:3"))
+
+
+def _floats(obj):
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _floats(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _floats(item)
+    elif isinstance(obj, float):
+        yield obj
+
+
+def test_result_floats_are_builtin():
+    # a numpy.float64 prints as np.float64(...) in a CSV cell under numpy >= 2
+    types = {type(v).__name__ for res in _results() for v in _floats(res)}
+    assert types == {"float"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bending", "--space", "S:3", "--epsilon", "0.3"],
+    ["bending", "--space", "S:2", "--epsilon", "0.5"],
+    ["bending", "--space", "S:5", "--focal", "sub:S:2", "--lambda", "2.5"],
+    ["bending", "--space", "S:2"],
+    ["bending", "--space", "CP:2", "--focal", "sub:RP:2"],
+], ids=" ".join)
+def test_csv_numbers_parse_as_floats(argv, capsys):
+    code, out, _ = run_main(argv + ["--csv"], capsys)
+    assert code == 0
+    for row in csv.DictReader(io.StringIO(out)):
+        for key in ("lambda", "value_per_volume", "error_estimate", "exponent_estimate"):
+            if row[key]:
+                float(row[key])  # "np.float64(...)" raises ValueError
