@@ -28,6 +28,7 @@ check reports those rows as not applicable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -98,8 +99,11 @@ def _reading(case, n: int, q: int) -> tuple[BoundCase, Fraction]:
 
 
 def _finite(value: float, space: ModelSpace) -> float:
-    if not math.isfinite(value):
-        raise UndecidedError(f"the bound on {space.label} exceeds the float range "
+    # Below the normal range rounding is coarse enough to print a lower bound
+    # above the exact one (5/8 * 5e-324 prints as 5e-324), so that is undecided too.
+    if not sys.float_info.min <= value < math.inf:
+        where = "exceeds the" if value > 1 else "falls below the normal"
+        raise UndecidedError(f"the bound on {space.label} {where} float range "
                              f"at lam = {space.lam!r}")
     return value
 
@@ -116,7 +120,7 @@ class LowerBound:
 def lower_bound(space: ModelSpace, q: int, case: BoundCase | str) -> LowerBound:
     """Lower bound for B/Vol of a foliation with q-dimensional leaves in the
     ``case`` that a ``BoundCase``, its value or the paper's label I, II or III
-    names (module docstring); a bound past the float range is undecided."""
+    names (module docstring); a bound outside the normal float range is undecided."""
     n = space.dim
     case, coeff = _reading(case, n, q)
     value = _finite(float(coeff) * q * (n - q) * space.lam, space)
@@ -318,24 +322,21 @@ def minimizer_report(
     """
     bound = lower_bound(space, space.dim - 1, BoundCase.I_CODIM1)
     bending = total_bending(space, FocalVariety.point(), quad)
-    umbilical = len(bending.branches) == 1
+    margin = tol * max(1.0, abs(bound.value))
     if not bending.is_finite:
-        return MinimizerReport(
-            space=space.label, bound=bound, bending=bending, slack=None,
-            attains_bound=False, leaves_umbilical=umbilical,
-            leaves_integrable=True,
-            note="bound holds vacuously: the total bending diverges",
-        )
-    slack = bending.value_per_volume - bound.value
-    attains = abs(slack) <= tol * max(1.0, abs(bound.value))
-    if slack < -tol * max(1.0, abs(bound.value)):
-        note = "bound violated"  # would indicate a defect; never expected
-    elif attains:
-        note = "bound attained: umbilical integrable leaves minimize bending"
+        slack, attains = None, False
+        note = "bound holds vacuously: the total bending diverges"
     else:
-        note = "bound strict: leaves are not umbilical"
+        slack = bending.value_per_volume - bound.value
+        attains = abs(slack) <= margin
+        if slack < -margin:
+            note = "bound violated"  # would indicate a defect; never expected
+        elif attains:
+            note = "bound attained: umbilical integrable leaves minimize bending"
+        else:
+            note = "bound strict: leaves are not umbilical"
     return MinimizerReport(
         space=space.label, bound=bound, bending=bending, slack=slack,
-        attains_bound=attains, leaves_umbilical=umbilical,
+        attains_bound=attains, leaves_umbilical=len(bending.branches) == 1,
         leaves_integrable=True, note=note,
     )

@@ -4,6 +4,13 @@ Every subcommand prints a human-readable summary by default and a stable
 JSON document with --json (schema_version 1, keys sorted, floats in
 shortest round-trip form, so dumps(loads(text)) reproduces the bytes).
 
+Each ``_cmd_*`` checks its own flag combinations, computes, and returns
+``(code, context, result, lines)``: the exit code, the JSON keys echoing its
+inputs, the result (a dataclass or a dict) and the text summary's lines.
+``main`` does the rest once: it resolves ``args.quad`` and ``args.lam`` from
+the flags or the FOLBEND_* variables, and prints the one form asked for: the
+JSON document (adding ``schema_version`` and ``command``), the CSV row or the text.
+
 Exit codes: 0 for an answered computation (divergence and catalog
 verdicts included, and also when the reader of stdout closes it early),
 1 when the reference table fails to reproduce or a self check fails, 2
@@ -11,7 +18,8 @@ for usage errors (every ValueError: an invalid option or FOLBEND_* value,
 a case whose condition fails, an --emit-profile that cannot be written),
 3 when the answer is not decided (every UndecidedError: the quadrature
 misses its tolerance, or a density, a volume, a torus integral or a bound
-leaves the float range).  The README lists the cases.
+leaves the float range, or a bound falls below its normal range).  The
+README lists the cases.
 """
 from __future__ import annotations
 
@@ -56,7 +64,10 @@ from .tubes import (
 SCHEMA_VERSION = 1
 
 
-def _env_float(name: str, fallback: float) -> float:
+def _setting(flag, name: str, fallback: float) -> float:
+    """A flag's value, else the environment variable ``name``, else ``fallback``."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -64,20 +75,6 @@ def _env_float(name: str, fallback: float) -> float:
         return float(raw)
     except ValueError as exc:
         raise ValueError(f"invalid {name}={raw!r}") from exc
-
-
-def _quad_from_args(args) -> QuadratureConfig:
-    default = QuadratureConfig()
-    rel = args.rel_tol if args.rel_tol is not None else _env_float(
-        "FOLBEND_REL_TOL", default.rel_tol)
-    absol = args.abs_tol if args.abs_tol is not None else _env_float(
-        "FOLBEND_ABS_TOL", default.abs_tol)
-    return QuadratureConfig(rel_tol=rel, abs_tol=absol)
-
-
-def _lam_from_args(args) -> float:
-    # An invalid scale is rejected, as a ValueError, by the space or report it builds.
-    return args.lam if args.lam is not None else _env_float("FOLBEND_LAMBDA", 1.0)
 
 
 def _plain(obj):
@@ -96,26 +93,14 @@ def _plain(obj):
     return obj
 
 
-def _emit_json(context: dict, result=None) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **context}
-    if result is not None:
-        payload.update(_plain(result))
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
 def _divergent_line(res) -> str:
     # Every cataloged divergence is logarithmic (exponent_estimate 1.0).
     return f"Divergent (log) at r={res.divergent_endpoint}"
 
 
-def _print_bending_human(label: str, res) -> None:
-    if res.status == "divergent":
-        print(f"{label}: {_divergent_line(res)}")
-        return
-    line = f"{label}: B/Vol = {res.value_per_volume:.6f} (error estimate {res.error_estimate:.1e})"
-    if res.value is not None:
-        line += f"; absolute B = {res.value:.6f}, Vol = {res.volume:.6f}"
-    print(line)
+def _not_computable(label: str, exc: NotComputableError):
+    """The result and the text line of a pair the tube catalog does not determine."""
+    return {"status": "not-computable", "reason": str(exc)}, [f"{label}: not computable ({exc})"]
 
 
 _CSV_COLUMNS = ("space", "focal", "lambda", "status", "value_per_volume",
@@ -128,15 +113,13 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _cmd_bending(args) -> int:
+def _cmd_bending(args):
     if args.csv and args.json:
         raise ValueError("--csv and --json are mutually exclusive")
-    quad = _quad_from_args(args)
-    lam = _lam_from_args(args)
-    space = parse_space(args.space, lam)
+    space = parse_space(args.space, args.lam)
     focal = parse_focal(args.focal)
-    context = {"command": "bending", "space": space.label, "focal": focal.label,
-               "lambda": lam}
+    context = {"space": space.label, "focal": focal.label, "lambda": args.lam}
+    label = f"{space.label} / {focal.label}"
     if args.epsilon is not None:
         context["epsilon"] = args.epsilon
     if args.emit_profile:
@@ -147,151 +130,109 @@ def _cmd_bending(args) -> int:
             raise ValueError(f"cannot write {args.emit_profile}: {reason}") from exc
     try:
         if args.epsilon is not None:
-            res = epsilon_deformed_bending(space, focal, args.epsilon, quad)
+            res = epsilon_deformed_bending(space, focal, args.epsilon, args.quad)
         else:
-            res = total_bending(space, focal, quad)
+            res = total_bending(space, focal, args.quad)
     except NotComputableError as exc:
-        if not (args.json or args.csv):
-            print(f"{space.label} / {focal.label}: not computable ({exc})")
-            return 0
-        res = {"status": "not-computable", "reason": str(exc)}
-
-    if args.json:
-        _emit_json(context, res)
-    elif args.csv:
-        row = {**context, **_plain(res)}
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_CSV_COLUMNS)
-        writer.writerow([_csv_cell(row.get(key)) for key in _CSV_COLUMNS])
+        return (0, context, *_not_computable(label, exc))
+    if args.epsilon is not None:
+        label += f" (epsilon = {args.epsilon:g})"
+    if res.status == "divergent":
+        line = f"{label}: {_divergent_line(res)}"
     else:
-        label = f"{space.label} / {focal.label}"
-        if args.epsilon is not None:
-            label += f" (epsilon = {args.epsilon:g})"
-        _print_bending_human(label, res)
-    return 0
+        line = (f"{label}: B/Vol = {res.value_per_volume:.6f} "
+                f"(error estimate {res.error_estimate:.1e})")
+        if res.value is not None:
+            line += f"; absolute B = {res.value:.6f}, Vol = {res.volume:.6f}"
+    return 0, context, res, [line]
 
 
-def _cmd_torus(args) -> int:
-    quad = _quad_from_args(args)
-    res = torus_bending(args.big_radius, args.small_radius, quad,
+def _cmd_torus(args):
+    res = torus_bending(args.big_radius, args.small_radius, args.quad,
                         area_weighted=args.area_weighted)
-    if args.json:
-        _emit_json({"command": "torus", "big_radius": args.big_radius,
-                    "small_radius": args.small_radius}, res)
-    else:
-        print(f"torus R={args.big_radius:g}, r={args.small_radius:g}: "
-              f"B = {res.value:.6f} < {res.upper_bound:.6f} (upper bound)")
-    return 0
+    return 0, {"big_radius": args.big_radius, "small_radius": args.small_radius}, res, [
+        f"torus R={args.big_radius:g}, r={args.small_radius:g}: "
+        f"B = {res.value:.6f} < {res.upper_bound:.6f} (upper bound)"]
 
 
-def _cmd_complex_radial(args) -> int:
-    quad = _quad_from_args(args)
-    lam = _lam_from_args(args)
-    res = complex_radial_bending(args.m, lam, quad)
-    if args.json:
-        _emit_json({"command": "complex-radial", "m": args.m, "lambda": lam}, res)
-    else:
-        print(f"complex radial on CP:{args.m}: B/Vol = {res.value_per_volume:.6f} "
-              f"(closed form: 2 * lam = {2 * lam:.6f})")
-    return 0
+def _cmd_complex_radial(args):
+    res = complex_radial_bending(args.m, args.lam, args.quad)
+    return 0, {"m": args.m, "lambda": args.lam}, res, [
+        f"complex radial on CP:{args.m}: B/Vol = {res.value_per_volume:.6f} "
+        f"(closed form: 2 * lam = {2 * args.lam:.6f})"]
 
 
-def _cmd_table1(args) -> int:
-    quad = _quad_from_args(args)
-    lam = _lam_from_args(args)
-    report = table1_report(lam=lam, rtol=args.rtol, quad=quad)
-    if args.json:
-        _emit_json({"command": "table1", "lambda": lam, "rtol": args.rtol,
-                    "all_ok": report.all_ok}, {"rows": report.rows})
-    else:
-        for row in report.rows:
-            label = f"{row.space} / {row.focal}"
-            if row.kind == "finite" and row.computed is not None:
-                print(f"{label}: B/Vol = {row.computed:.6f} "
-                      f"(closed form: {row.closed_form} * lam = "
-                      f"{float(row.closed_form) * lam:.6f}) "
-                      f"[{row.status}]")
-            elif row.kind == "divergent" and row.divergent_endpoint is not None:
-                print(f"{label}: {_divergent_line(row)} [{row.status}]")
-            elif row.kind == "not-computable":
-                print(f"{label}: not determined by the tube catalog [{row.status}]")
-            else:
-                print(f"{label}: [{row.status}]")
-        print(f"table {'reproduced' if report.all_ok else 'FAILED'} "
-              f"(lam={lam:g}, rtol={args.rtol:g})")
-    return 0 if report.all_ok else 1
+def _table1_line(row, lam: float) -> str:
+    label = f"{row.space} / {row.focal}"
+    if row.kind == "finite" and row.computed is not None:
+        return (f"{label}: B/Vol = {row.computed:.6f} (closed form: {row.closed_form} * lam"
+                f" = {float(row.closed_form) * lam:.6f}) [{row.status}]")
+    if row.kind == "divergent" and row.divergent_endpoint is not None:
+        return f"{label}: {_divergent_line(row)} [{row.status}]"
+    if row.kind == "not-computable":
+        return f"{label}: not determined by the tube catalog [{row.status}]"
+    return f"{label}: [{row.status}]"
 
 
-def _cmd_check_integral(args) -> int:
+def _cmd_table1(args):
+    report = table1_report(lam=args.lam, rtol=args.rtol, quad=args.quad)
+    lines = [_table1_line(row, args.lam) for row in report.rows]
+    lines.append(f"table {'reproduced' if report.all_ok else 'FAILED'} "
+                 f"(lam={args.lam:g}, rtol={args.rtol:g})")
+    return (0 if report.all_ok else 1,
+            {"lambda": args.lam, "rtol": args.rtol, "all_ok": report.all_ok},
+            {"rows": report.rows}, lines)
+
+
+def _check_line(r) -> str:
+    label = f"{r.space} / {r.focal}"
+    if r.status == "not-applicable":
+        tail = "" if r.rhs is None else f" (integral mean = {r.rhs:.6f})"
+        return f"{label}: not applicable, bending diverges{tail}"
+    return (f"{label}: Ric = {r.lhs:.6f}, integral mean = {r.rhs:.6f}, "
+            f"gap = {r.relative_gap:.2e} [{'ok' if r.holds else 'FAILED'}]")
+
+
+def _cmd_check_integral(args):
     if args.focal is not None and not args.space:
         raise ValueError("--focal needs --space")
-    quad = _quad_from_args(args)
-    lam = _lam_from_args(args)
-    if args.space:
-        pairs = [(args.space, args.focal or "point")]
-    else:
-        pairs = list(DEFAULT_CHECK_PAIRS)
-    results = [
-        integral_formula_check(parse_space(s, lam), parse_focal(f), quad)
-        for s, f in pairs
-    ]
-    if args.json:
-        _emit_json({"command": "check-integral", "lambda": lam}, {"results": results})
-    else:
-        for r in results:
-            if r.status == "not-applicable":
-                tail = "" if r.rhs is None else f" (integral mean = {r.rhs:.6f})"
-                print(f"{r.space} / {r.focal}: not applicable, bending diverges{tail}")
-            else:
-                print(f"{r.space} / {r.focal}: Ric = {r.lhs:.6f}, "
-                      f"integral mean = {r.rhs:.6f}, gap = {r.relative_gap:.2e} "
-                      f"[{'ok' if r.holds else 'FAILED'}]")
-    applicable = [r for r in results if r.status == "applicable"]
-    return 0 if all(r.holds for r in applicable) else 1
+    names = [(args.space, args.focal or "point")] if args.space else DEFAULT_CHECK_PAIRS
+    pairs = [(parse_space(s, args.lam), parse_focal(f)) for s, f in names]
+    context = {"lambda": args.lam}
+    try:
+        results = [integral_formula_check(space, focal, args.quad) for space, focal in pairs]
+    except NotComputableError as exc:  # only a --space pair can be outside the catalog
+        space, focal = pairs[0]
+        return (0, context, *_not_computable(f"{space.label} / {focal.label}", exc))
+    holds = all(r.holds for r in results if r.status == "applicable")
+    return 0 if holds else 1, context, {"results": results}, [_check_line(r) for r in results]
 
 
-def _cmd_bounds(args) -> int:
-    lam = _lam_from_args(args)
-    space = parse_space(args.space, lam)
+def _cmd_bounds(args):
+    space = parse_space(args.space, args.lam)
     bound = lower_bound(space, args.q, args.case)
     einstein = einstein_lower_bound(space)
-    if args.json:
-        _emit_json({"command": "bounds", "space": space.label, "lambda": lam,
-                    "q": args.q, "case": bound.case.value,
-                    "coefficient": str(bound.coefficient), "value": bound.value,
-                    "einstein_value": einstein})
-    else:
-        print(f"{space.label}, q={args.q}, case {bound.case.value}: "
-              f"B/Vol >= {bound.coefficient} * q(n-q) * lam = {bound.value:.6f}")
-        print(f"scalar-curvature variant: B/Vol >= {einstein:.6f}")
-    return 0
+    return 0, {"space": space.label, "lambda": args.lam, "q": args.q}, {
+        "case": bound.case, "coefficient": bound.coefficient, "value": bound.value,
+        "einstein_value": einstein}, [
+        f"{space.label}, q={args.q}, case {bound.case.value}: "
+        f"B/Vol >= {bound.coefficient} * q(n-q) * lam = {bound.value:.6f}",
+        f"scalar-curvature variant: B/Vol >= {einstein:.6f}"]
 
 
-def _cmd_minimizer(args) -> int:
-    quad = _quad_from_args(args)
-    lam = _lam_from_args(args)
-    space = parse_space(args.space, lam)
-    rep = minimizer_report(space, quad)
-    if args.json:
-        _emit_json({"command": "minimizer", "space": rep.space,
-                    "lambda": lam, "bound_value": rep.bound.value,
-                    "bending_status": rep.bending.status,
-                    "value_per_volume": rep.bending.value_per_volume,
-                    "slack": rep.slack, "attains_bound": rep.attains_bound,
-                    "leaves_umbilical": rep.leaves_umbilical,
-                    "leaves_integrable": rep.leaves_integrable, "note": rep.note})
-    else:
-        print(f"{rep.space}: bound = {rep.bound.value:.6f}")
-        if rep.bending.is_finite:
-            print(f"radial foliation: B/Vol = {rep.bending.value_per_volume:.6f} "
-                  f"(slack {rep.slack:.2e})")
-        else:
-            print(f"radial foliation: {_divergent_line(rep.bending)}")
-        print(rep.note)
-    return 0
+def _cmd_minimizer(args):
+    rep = minimizer_report(parse_space(args.space, args.lam), args.quad)
+    tail = (f"B/Vol = {rep.bending.value_per_volume:.6f} (slack {rep.slack:.2e})"
+            if rep.bending.is_finite else _divergent_line(rep.bending))
+    lines = [f"{rep.space}: bound = {rep.bound.value:.6f}", f"radial foliation: {tail}", rep.note]
+    return 0, {"space": rep.space, "lambda": args.lam}, {
+        "bound_value": rep.bound.value, "bending_status": rep.bending.status,
+        "value_per_volume": rep.bending.value_per_volume, "slack": rep.slack,
+        "attains_bound": rep.attains_bound, "leaves_umbilical": rep.leaves_umbilical,
+        "leaves_integrable": rep.leaves_integrable, "note": rep.note}, lines
 
 
-def _cmd_selfcheck(args) -> int:
+def _cmd_selfcheck(args):
     from .torsion import SplitDims, mu_identity_residual, random_coefficients
 
     failures = []
@@ -328,11 +269,8 @@ def _cmd_selfcheck(args) -> int:
         failures.append("radial bending on S:2 failed to diverge")
 
     if failures:
-        for line in failures:
-            print(f"FAILED: {line}")
-        return 1
-    print("all internal checks passed")
-    return 0
+        return 1, {}, {}, [f"FAILED: {line}" for line in failures]
+    return 0, {}, {}, ["all internal checks passed"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -417,11 +355,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        if "rel_tol" in vars(args):
+            default = QuadratureConfig()
+            args.quad = QuadratureConfig(
+                rel_tol=_setting(args.rel_tol, "FOLBEND_REL_TOL", default.rel_tol),
+                abs_tol=_setting(args.abs_tol, "FOLBEND_ABS_TOL", default.abs_tol))
+        if "lam" in vars(args):
+            # An invalid scale is rejected, as a ValueError, by the space or report it builds.
+            args.lam = _setting(args.lam, "FOLBEND_LAMBDA", 1.0)
         with np.errstate(all="ignore"):  # overflow ends as UndecidedError, not as warnings
-            code = args.func(args)
+            code, context, result, lines = args.func(args)
+        row = {"schema_version": SCHEMA_VERSION, "command": args.command, **context,
+               **_plain(result)}
+        if vars(args).get("json"):
+            print(json.dumps(row, sort_keys=True, indent=2))
+        elif vars(args).get("csv"):
+            csv.writer(sys.stdout).writerows(
+                [_CSV_COLUMNS, [_csv_cell(row.get(key)) for key in _CSV_COLUMNS]])
+        else:
+            print(*lines, sep="\n")
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,6 +1,8 @@
 """Lower bounds, the integral identity, and the reference table report."""
+import contextlib
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,33 @@ class TestBoundRange:
         assert einstein_lower_bound(parse_space("CaP2", 1e308)) == pytest.approx(9 / 7 * 1e308)
         with pytest.raises(UndecidedError):
             einstein_lower_bound(parse_space("CaP2", 1.5e308))  # 9/7 * 1.5e308
+
+
+    @pytest.mark.parametrize("space", BOUND_SPACES)
+    def test_bounds_answer_down_to_the_normal_range(self, space):
+        # A bound of at least sys.float_info.min answers; below it, where rounding
+        # may print a lower bound above the exact one, the bound is undecided.
+        tiny = sys.float_info.min
+        unit = parse_space(space)
+        n = unit.dim
+        exact = {None: Fraction(ricci_curvature(unit)) / (2 * (n - 2))}  # per unit lam
+        for q in range(1, n):
+            for case in BoundCase:
+                with contextlib.suppress(ValueError):
+                    exact[q, case] = lower_bound(unit, q, case).coefficient * q * (n - q)
+        for lam in [5e-324, 3 * tiny] + [math.ldexp(tiny, k) for k in range(-4, 7)]:
+            s = parse_space(space, lam)
+            for key, per_lam in exact.items():
+                value = per_lam * Fraction(lam)
+                if abs(value / Fraction(tiny) - 1) < 1e-9:
+                    continue  # the rounding of the product decides
+                call = (lambda: einstein_lower_bound(s)) if key is None else (
+                    lambda: lower_bound(s, *key).value)
+                if value > tiny:
+                    assert call() >= tiny, (lam, key)
+                else:
+                    with pytest.raises(UndecidedError):
+                        call()
 
 
 class TestIntegralFormula:

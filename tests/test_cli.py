@@ -226,6 +226,18 @@ class TestOtherCommands:
         assert code == 0
         assert "not applicable" in out
 
+    def test_check_integral_not_computable_pair(self, capsys):
+        # the same answer as bending gives for the pair, in either form, exit 0
+        pair = ["--space", "CP:2", "--focal", "sub:RP:2"]
+        for form in ([], ["--json"]):
+            code, out, err = run_main(["check-integral", *pair, *form], capsys)
+            want = run_main(["bending", *pair, *form], capsys)[1]
+            assert (code, err) == (0, "")
+            if form:
+                assert json.loads(out)["reason"] == json.loads(want)["reason"]
+            else:
+                assert out == want and out.startswith("CP:2 / sub:RP:2: not computable (")
+
     def test_check_integral_focal_needs_space(self, capsys):
         code, out, err = run_main(["check-integral", "--focal", "sub:S:2"], capsys)
         assert code == 2
@@ -265,6 +277,13 @@ class TestOtherCommands:
                                    "--lambda", "1e308", "--json"], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("folbend: undecided: ")
+
+    def test_bounds_below_the_normal_range_is_undecided(self, capsys):
+        # the exact bound 5/8 * 5e-324 is about 3.1e-324; rounded, it printed 5e-324
+        code, out, err = run_main(["bounds", "--space", "S:6", "--q", "2", "--case", "III-",
+                                   "--lambda", "5e-324", "--json"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("folbend: undecided: ") and err.count("\n") == 1
 
     def test_bounds_at_the_largest_scale(self, capsys):
         code, out, _ = run_main(["bounds", "--space", "S:3", "--q", "1", "--case", "I",
@@ -420,6 +439,8 @@ BRANCH_KEYS = {"init", "kappa", "multiplicity"}
       "slack", "attains_bound", "leaves_umbilical", "leaves_integrable", "note"}, {}),
     (["bending", "--space", "CP:2", "--focal", "sub:RP:2", "--epsilon", "0.5"],
      {"command", "space", "focal", "lambda", "epsilon", "status", "reason"}, {}),
+    (["check-integral", "--space", "CP:2", "--focal", "sub:RP:2"],
+     {"command", "lambda", "status", "reason"}, {}),
 ])
 def test_json_key_sets(argv, top, nested, capsys):
     # The --json documents are a contract: pin every key of every document.
@@ -457,12 +478,52 @@ def test_invalid_rtol_is_usage_error(rtol, capsys):
     assert err.startswith("folbend: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["FOLBEND_LAMBDA", "FOLBEND_REL_TOL", "FOLBEND_ABS_TOL"])
-def test_unparseable_environment_is_usage_error(name, capsys, monkeypatch):
+TOLERANCE_COMMANDS = [
+    ["bending", "--space", "S:3"],
+    ["torus", "--R", "2", "--r", "1"],
+    ["complex-radial", "--m", "3"],
+    ["table1"],
+    ["check-integral"],
+    ["minimizer", "--space", "S:3"],
+]
+ENV_READERS = ([("FOLBEND_LAMBDA", argv) for argv in LAMBDA_COMMANDS]
+               + [(name, argv) for name in ("FOLBEND_REL_TOL", "FOLBEND_ABS_TOL")
+                  for argv in TOLERANCE_COMMANDS])
+
+
+@pytest.mark.parametrize("name,argv", [
+    pytest.param(name, argv, id=name if argv[0] == "bending" else f"{name}-{argv[0]}")
+    for name, argv in ENV_READERS])
+def test_unparseable_environment_is_usage_error(name, argv, capsys, monkeypatch):
     monkeypatch.setenv(name, "banana")
-    code, _, err = run_main(["bending", "--space", "S:3"], capsys)
-    assert code == 2
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
     assert err == f"folbend: invalid {name}='banana'\n"
+
+
+# (variables, the flags they stand for, other values of the variables)
+SETTINGS = {
+    "lambda": ({"FOLBEND_LAMBDA": "2.5"}, ["--lambda", "2.5"], {"FOLBEND_LAMBDA": "3.0"}),
+    "tolerances": ({"FOLBEND_REL_TOL": "1e-10", "FOLBEND_ABS_TOL": "1e-13"},
+                   ["--rel-tol", "1e-10", "--abs-tol", "1e-13"],
+                   {"FOLBEND_REL_TOL": "1e-3", "FOLBEND_ABS_TOL": "1e-3"}),
+}
+
+
+@pytest.mark.parametrize("setting,argv", [
+    pytest.param(setting, argv, id=f"{setting}-{argv[0]}")
+    for setting, commands in (("lambda", LAMBDA_COMMANDS), ("tolerances", TOLERANCE_COMMANDS))
+    for argv in commands])
+def test_environment_stands_for_its_flags(setting, argv, capsys, monkeypatch):
+    env, flags, other = SETTINGS[setting]
+    want = run_main(argv + flags + ["--json"], capsys)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_main(argv + ["--json"], capsys) == want
+    for name, value in other.items():
+        monkeypatch.setenv(name, value)
+    assert run_main(argv + ["--json"], capsys) != want  # the variables are read
+    assert run_main(argv + flags + ["--json"], capsys) == want  # and a flag overrides them
 
 
 @pytest.mark.parametrize("argv", [
