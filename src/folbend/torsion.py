@@ -15,8 +15,20 @@ Everything below is finite index algebra on these arrays: square sums,
 second-fundamental-form and integrability-tensor norms (symmetric and skew
 parts), mean-curvature norms, second mean curvatures, and the slack of the
 inequalities relating them.  Terms are numpy array expressions and every
-sum is a correctly rounded ``math.fsum``, so results do not depend on the
-order of the terms and are reproducible bit for bit.
+sum is the correctly rounded sum of its terms, equal bit for bit to
+``math.fsum`` over them, so results do not depend on the order of the terms
+and are reproducible bit for bit.
+
+Each block is gathered once above, below and on its diagonal.  The sff and
+skew terms at (a, b) and (b, a) are equal, so each such pair enters its sum
+once as a doubled term; doubling is exact, so the exact sum is unchanged.
+A long sum is formed in whole arrays by error-free extraction (Rump, Ogita
+& Oishi, "Accurate floating-point summation, part I: faithful rounding",
+SIAM J. Sci. Comput. 31(1), 2008, ExtractVector): each round splits every
+term exactly into a high part, on a grid coarse enough that the high parts
+add up in floating point without error, and a low remainder.  The round
+sums and the few remainders left have the same exact sum as the terms, and
+one ``math.fsum`` of them rounds it as ``math.fsum`` of the terms would.
 
 Each block is reduced in one pass, cached on its ``TorsionCoefficients``
 object: the sums, the sigma slack and the largest magnitudes of its parts.
@@ -141,9 +153,47 @@ _BlockPass = collections.namedtuple("_BlockPass", "sigma sff skew mean mu sigma_
                                     "max_entry max_sym max_skew max_off_sym max_spread")
 
 
-def _fsum(terms: np.ndarray) -> float:
-    """Correctly rounded sum of every entry, whatever their order."""
-    return math.fsum(terms.ravel().tolist())
+# Extraction starts at this many terms, below which one fsum over a list is
+# faster, and stops when fewer than _EXTRACT_DOWN_TO are left (both measured).
+_EXTRACT_FROM, _EXTRACT_DOWN_TO = 400, 32
+
+
+def _fsum(*parts: np.ndarray) -> float:
+    """``math.fsum`` of every entry of ``parts``, bit for bit, whatever their order.
+
+    Rounds of error-free extraction (Rump, Ogita & Oishi 2008, ExtractVector)
+    take the high bits off all N terms p at once.  With sigma a power of two
+    above (N + 2) * max|p|, each q = (sigma + p) - sigma is p rounded to a
+    multiple of 2**-53 * sigma, p - q is exact, and the |q| add up to at
+    most sigma, so ``np.sum(q)`` is exact in any order.  The exact total is
+    then the round sums plus the short remainder, which one fsum rounds as
+    it would round the terms.  Short inputs, nonfinite terms and a sigma of
+    2**1024 or more go to fsum directly.
+    """
+    p = np.concatenate(parts, axis=None)
+    taus = []
+    while p.size >= (_EXTRACT_DOWN_TO if taus else _EXTRACT_FROM):
+        top = float(np.abs(p).max())
+        if not top:  # only zeros, in the first round: fsum of one zero, -0.0 if all are
+            return math.fsum([-0.0] if np.signbit(p).all() else [])
+        exponent = math.frexp(top)[1] + (p.size + 2).bit_length()
+        if not math.isfinite(top) or exponent >= 1024:  # first round only: plain fsum
+            break
+        sigma = math.ldexp(1.0, exponent)
+        q = sigma + p
+        q -= sigma
+        taus.append(float(q.sum()))
+        p = p - q
+        p = p[p != 0]
+    return math.fsum(taus + p.tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs a < b of a d x d block, read-only."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _block_pass(block: np.ndarray) -> _BlockPass:
@@ -156,28 +206,31 @@ def _block_pass(block: np.ndarray) -> _BlockPass:
     expanded, for d >= 2, into a manifestly nonnegative quadratic form (its
     last terms vanish at d = 2), so it is exactly >= 0; for d = 1 the
     quotient is taken to be zero and the slack is sigma itself.
+
+    ``up`` and ``lo`` hold the entries at (a, b) and (b, a) for a < b; each
+    pair of equal sff or skew terms enters its sum once, doubled.
     """
     d = block.shape[0]
-    idx = np.arange(d)
-    upper, off = idx[:, None] < idx, idx[:, None] != idx  # a < b, a != b
-    swapped = block.transpose(1, 0, 2)  # swapped[a, b, j] = block[b, a, j]
+    a, b = _pairs(d)
+    up, lo = block[a, b], block[b, a]  # (pairs, c)
     diag = block.diagonal().T  # diag[a, j] = block[a, a, j]
-    squares = block * block
-    sym = block + swapped
-    anti = block - swapped
-    sym_sq = sym * sym
-    spread = diag[:, None, :] - diag[None, :, :]
+    sym, anti = up + lo, up - lo
+    twice = diag + diag  # sym on the diagonal, where skew vanishes
+    sym_sq, spread = sym * sym, diag[a] - diag[b]
     traces = [math.fsum(column) for column in diag.T.tolist()]  # one per j
-    minors = diag[:, None, :] * diag[None, :, :] - block * swapped
-    sigma = _fsum(squares)
-    slack_terms = (spread * spread)[upper], sym_sq[upper], (d - 2) * squares[off]
-    abs_sym = np.abs(sym)
+    sigma = _fsum(block * block)
+    slack = sigma
+    if d >= 2:
+        slack = _fsum(spread * spread, sym_sq, (d - 2) * (up * up), (d - 2) * (lo * lo)) / (d - 1)
+    max_off_sym = float(np.abs(sym).max(initial=0.0))
     return _BlockPass(
-        sigma, _fsum(0.25 * sym_sq), _fsum(0.25 * (anti * anti)),
-        math.fsum(t * t for t in traces), _fsum(minors[upper]),
-        sigma if d < 2 else _fsum(np.concatenate(slack_terms, axis=None)) / (d - 1),
-        *(float(np.max(x, initial=0.0)) for x in (
-            np.abs(block), abs_sym, np.abs(anti), abs_sym[off], np.abs(spread[upper]))),
+        sigma, _fsum(2.0 * (0.25 * sym_sq), 0.25 * (twice * twice)),
+        _fsum(2.0 * (0.25 * (anti * anti))), math.fsum(t * t for t in traces),
+        _fsum(diag[a] * diag[b] - up * lo), slack,
+        float(np.abs(block).max(initial=0.0)),
+        max(max_off_sym, float(np.abs(twice).max(initial=0.0))),
+        float(np.abs(anti).max(initial=0.0)), max_off_sym,
+        float(np.abs(spread).max(initial=0.0)),
     )
 
 

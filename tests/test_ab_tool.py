@@ -27,3 +27,7 @@ def test_checkout_against_itself(workload):
     assert result["identical_answers"] is True
     assert result["base"]["causes"] == result["change"]["causes"] == {}
     assert ("calls_per_op" in result["base"]) == (workload == "tube_sweep")
+    # Nearest-rank p99 of the wall times: at 40 requests rank 40, the slowest.
+    for side in ("base", "change"):
+        assert max(result[side]["mean_ms"], result[side]["p50_ms"]) <= result[side]["p99_ms"]
+    assert result["p99_ms_change_over_base"] == result["change"]["p99_ms"] / result["base"]["p99_ms"]

@@ -421,6 +421,32 @@ class TestArrayKernels:
             assert got["residual"] == got["sigma_slack"] == got["block_slacks"] == (0.0, 0.0)
             assert got["mean_slack"] == 0.0
 
+    @pytest.mark.parametrize("tiny", [True, False])
+    def test_extreme_scales(self, tiny):
+        # Entries scaled by 2**-540 have subnormal or vanishing squares; at
+        # largest_scale(n) the sums reach the top of the float range.
+        rng = np.random.default_rng(7100 + tiny)
+        for k in range(12):
+            n = int(rng.integers(2, 34))
+            dims = SplitDims(n, int(rng.integers(1, n + 1)))
+            base = (umbilical_coefficients(dims, k, integrable_v=k % 2 == 0) if k % 3 == 0
+                    else random_coefficients(dims, k))
+            scale = 2.0**-540 if tiny else largest_scale(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                c = TorsionCoefficients(dims, scale * base.vertical, scale * base.horizontal)
+                assert all_answers(c) == loop_answers(c), (dims, k)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 17, 26, 33, 40])
+    def test_one_and_two_dimensional_blocks(self, n):
+        # q = 1 or 2 makes the vertical block 1- or 2-dimensional, q = n - 1
+        # or n - 2 the horizontal one; the other block is up to (39, 39, 1).
+        for q in {1, 2, n - 2, n - 1}:
+            dims = SplitDims(n, q)
+            for c in (random_coefficients(dims, n + q), umbilical_coefficients(dims, n + q),
+                      umbilical_coefficients(dims, n + q, integrable_v=True, integrable_h=True)):
+                assert all_answers(c) == loop_answers(c), dims
+
 
 class TestDeriveOnce:
     @pytest.fixture
@@ -505,3 +531,123 @@ class TestCoefficientScale:
                 assert all(math.isfinite(x) for x in values)
                 with pytest.raises(ValueError, match="coefficient scale"):
                     TorsionCoefficients(dims, np.nextafter(bound, math.inf) * vert, horiz)
+
+
+def largest_term(n):
+    # The bound on every invariant at the largest accepted scale.
+    return min(sys.float_info.max, (n + 2) ** 5 * largest_scale(n) ** 2)
+
+
+def fsum_outcome(fsum, parts):
+    try:
+        return fsum(*parts).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestExactSum:
+    """``torsion._fsum`` is ``math.fsum`` over the same terms, compared by ``float.hex``."""
+
+    EXTRACT = folbend.torsion._EXTRACT_FROM
+
+    @staticmethod
+    def check(*parts):
+        def plain(*arrays):
+            return math.fsum(np.concatenate(arrays, axis=None).tolist())
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fsum_outcome(folbend.torsion._fsum, parts)
+        assert got == fsum_outcome(plain, parts)
+        return got
+
+    SIZES = [0, 1, 2, 31, 32, 33, EXTRACT - 1, EXTRACT, EXTRACT + 1, 3 * EXTRACT, 20000]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_zeros(self, size):
+        zeros = np.zeros(size)
+        for terms in (zeros, -zeros, np.where(np.arange(size) % 3, zeros, -zeros)):
+            assert self.check(terms) == "0x0.0p+0"
+        assert self.check(np.array([-0.0]), np.zeros((2, 0)), -zeros) == self.check(np.array([-0.0]))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_sizes_around_the_crossover(self, size):
+        rng = np.random.default_rng(size)
+        x, y = rng.uniform(-1.0, 1.0, (2, size))
+        self.check(x * x)
+        self.check(x * y)
+        self.check(x.reshape(-1, 1), y * y, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("size", [40, 3000])
+    def test_subnormal_terms(self, size):
+        rng = np.random.default_rng(1)
+        for terms in (rng.uniform(-1.0, 1.0, size) * 2.0**-1030,
+                      rng.integers(-50, 50, size) * 5e-324,
+                      rng.uniform(0.0, 1.0, size) ** 40 * 2.0**-1022):
+            assert np.all(np.abs(terms) < sys.float_info.min)
+            self.check(terms)
+
+    @pytest.mark.parametrize("size", [40, 3000])
+    def test_cancellation(self, size):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-1.0, 1.0, size) * 2.0 ** rng.integers(-60, 60, size)
+        assert self.check(x, -x) == "0x0.0p+0"
+        assert self.check(x, -x * (1.0 + 2.0**-52)) != "0x0.0p+0"
+        self.check(x, -x[::-1], np.array([2.0**-1074]))
+
+    @pytest.mark.parametrize("size", [1021, 1022, 4093])
+    def test_terms_of_one_sign_near_the_largest(self, size):
+        # The extracted parts then add up to nearly sigma, the most that
+        # np.sum may reach and stay exact; N + 2 = 1023 is the tightest case.
+        rng = np.random.default_rng(size)
+        for top in (1.0, 2.0**-1000, 2.0**1000):
+            terms = top * (1.0 - rng.uniform(0.0, 2.0**-20, size))
+            self.check(terms)
+            self.check(-terms)
+
+    @pytest.mark.parametrize("size", [200, 5000])
+    def test_three_hundred_decades_at_once(self, size):
+        rng = np.random.default_rng(3)
+        terms = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+        terms[:2] = 1e-300, 1e300
+        self.check(terms)
+        self.check(terms, -terms[1:])
+
+    @pytest.mark.parametrize("n", [2, 9, 33, 40])
+    def test_terms_as_large_as_an_accepted_object_allows(self, n):
+        # Terms whose first extraction would need sigma = 2**1024 go to fsum
+        # directly; just below that, sigma = 2**1023 and sigma + p stays finite.
+        top, size = largest_term(n), 1000
+        rng = np.random.default_rng(n)
+        terms = rng.uniform(0.0, 1.0, size) * (top / size)
+        terms[0] = top / size
+
+        def exponent(p):
+            return math.frexp(float(np.max(np.abs(p))))[1] + (p.size + 2).bit_length()
+
+        assert exponent(terms) >= 1024
+        assert self.check(terms) == math.fsum(terms.tolist()).hex()
+        self.check(terms, -terms[::2])
+        below = rng.uniform(-1.0, 1.0, size) * 2.0**1013
+        below[0] = 2.0**1013 * (1.0 - 2.0**-53)
+        assert exponent(below) == 1023
+        self.check(below)
+        self.check(below, -below[::3])
+        # Past the float range both raise OverflowError.
+        assert self.check(np.full(size, top)) is OverflowError
+
+    @pytest.mark.parametrize("size", [3, 3000])
+    def test_nonfinite_terms(self, size):
+        ones = np.ones(size)
+        assert self.check(ones, np.array([math.inf])) == "inf"
+        assert self.check(ones, np.array([math.inf, -math.inf])) is ValueError
+        assert self.check(ones, np.array([math.nan])) == "nan"
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 4000),
+           spread=st.integers(0, 1100), zeros=st.floats(0.0, 1.0))
+    def test_random_terms(self, seed, size, spread, zeros):
+        rng = np.random.default_rng(seed)
+        terms = rng.choice([-1.0, 1.0], size) * 2.0 ** rng.uniform(-spread, min(spread, 1023), size)
+        terms[rng.uniform(0.0, 1.0, size) < zeros] = 0.0
+        self.check(terms)

@@ -14,10 +14,12 @@ state, which separate 35 s benchmark runs on a shared machine do not give.
 process as separate module objects.  Each side builds the input of a
 request with its own ``prepare``, outside the timed span, so a
 ``splitting_algebra`` side times its own ``TorsionCoefficients`` class on a
-fresh object.  Per side the tool prints the mean and median wall time per
-operation, and for ``tube_sweep``, from a second, untimed pass, the
-integrand calls and nodes per operation.  ``cli_sessions`` runs one fresh ``python -m folbend`` process
-of the side's checkout per request.  Per side it prints the median wall
+fresh object.  Per side the tool prints the mean, the median and the
+nearest-rank 99th percentile (``p99_ms``, as ``perfbench/run.py`` ranks its
+tail) of the wall time per operation, and for ``tube_sweep``, from a second,
+untimed pass, the integrand calls and nodes per operation.
+``cli_sessions`` runs one fresh ``python -m folbend`` process of the side's
+checkout per request.  Per side it prints the median wall
 time and the mean CPU time of the child process (user plus system, from
 ``getrusage(RUSAGE_CHILDREN)``) per operation.
 
@@ -35,6 +37,7 @@ import argparse
 import collections
 import itertools
 import json
+import math
 import resource
 import statistics
 import sys
@@ -106,6 +109,11 @@ def alternate(sides: tuple, requests: list) -> tuple[list[dict], bool]:
     return runs, same
 
 
+def _nearest_rank(values: list, share: float) -> float:
+    """The smallest value with at least ``share`` of ``values`` at or below it."""
+    return sorted(values)[math.ceil(share * len(values)) - 1]
+
+
 def _counts(wl: workloads.TubeSweep, requests: list) -> dict:
     """Integrand calls and nodes per operation, counted around ``quadrature._gk15``."""
     quad = wl.quadrature
@@ -141,6 +149,7 @@ def compare(workload: str, sides: tuple, seed: int, n: int) -> dict:
             side["cpu_ms_per_op"] = 1e3 * statistics.fmean(run["cpu"])
         else:
             side["mean_ms"] = 1e3 * statistics.fmean(run["wall"])
+            side["p99_ms"] = 1e3 * _nearest_rank(run["wall"], 0.99)
         if workload == "tube_sweep":
             side.update(_counts(wl, requests))
         result[name] = {**side, "causes": dict(run["causes"])}
