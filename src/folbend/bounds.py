@@ -34,7 +34,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bending import BendingResult, _per_volume, _weighted_rows, total_bending
+import numpy as np
+
+from .bending import BendingResult, _per_volume, total_bending
 from .quadrature import QuadratureConfig, UndecidedError
 from .spaces import (
     FocalVariety,
@@ -162,9 +164,12 @@ def integral_formula_check(
     prof = tube_profile(space, focal)
     lhs = ricci_curvature(space)
     status = "not-applicable" if 1 in prof.orders else "applicable"
-    rhs = _per_volume(
-        prof, _weighted_rows(prof, lambda r: 2.0 * prof.second_mean_curvature(r)), quad
-    ).value_per_volume
+
+    def rows(r):  # (2 * second mean curvature * theta, theta) at the radii r
+        theta = prof.theta(r)
+        return np.array((2.0 * prof.second_mean_curvature(r) * theta, theta))
+
+    rhs = _per_volume(prof, rows, quad).value_per_volume
     gap = None if rhs is None else abs(lhs - rhs) / abs(lhs)
     return IntegralCheckResult(
         space=space.label, focal=focal.label,

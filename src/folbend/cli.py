@@ -17,9 +17,10 @@ verdicts included, and also when the reader of stdout closes it early),
 for usage errors (every ValueError: an invalid option or FOLBEND_* value,
 a case whose condition fails, an --emit-profile that cannot be written),
 3 when the answer is not decided (every UndecidedError: the quadrature
-misses its tolerance, or a density, a volume, a torus integral or a bound
+misses its tolerance, or a density, a volume, a torus value or a bound
 leaves the float range, or a bound falls below its normal range).  The
-README lists the cases.
+README lists the cases.  ``torus`` and ``complex-radial`` evaluate closed
+forms: they accept and check --rel-tol and --abs-tol but do not use them.
 """
 from __future__ import annotations
 
@@ -284,8 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
     quad_parent.add_argument("--rel-tol", type=float, default=None,
                              help="relative quadrature tolerance (FOLBEND_REL_TOL)")
     quad_parent.add_argument("--abs-tol", type=float, default=None,
-                             help="absolute tolerance on B/Vol, or on the torus integral "
-                                  "(FOLBEND_ABS_TOL)")
+                             help="absolute tolerance on B/Vol (FOLBEND_ABS_TOL); torus and "
+                                  "complex-radial use closed forms and ignore both tolerances")
 
     lam_parent = argparse.ArgumentParser(add_help=False)
     lam_parent.add_argument("--lambda", dest="lam", type=float, default=None,

@@ -1,6 +1,7 @@
 """Brute-force, exact and panel-by-panel references that the tests compare the library against."""
 import heapq
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,23 @@ def torus_riemann_oracle(big_radius, small_radius, nodes=1_000_000, *, area_weig
     if area_weighted:
         values = values * r * (R + r * np.cos(t))
     return math.pi * float(np.mean(values)) * 2.0 * math.pi
+
+
+# pi to 60 significant digits.
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def torus_reference(big_radius, small_radius, area_weighted=False):
+    """The torus bending 2 pi^2 / ((R + s) s), or 2 pi^2 r / (R + s) area
+    weighted, with s = sqrt((R - r)(R + r)), in 60-digit decimal arithmetic
+    from the exact values of the float radii."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        R, r = Decimal(big_radius), Decimal(small_radius)
+        s = ((R - r) * (R + r)).sqrt()
+        if area_weighted:
+            return 2 * PI_60**2 * r / (R + s)
+        return 2 * PI_60**2 / ((R + s) * s)
 
 
 def kronrod_panel(f, a, b):

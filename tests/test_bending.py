@@ -6,7 +6,10 @@ implementation existed, and is frozen: do not regenerate from the code
 under test.
 """
 import math
+import random
+import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +21,6 @@ import folbend.bending
 from folbend.bending import (
     BendingResult,
     complex_radial_bending,
-    complex_radial_density,
     energy,
     epsilon_deformed_bending,
     torus_bending,
@@ -29,7 +31,7 @@ from folbend.bounds import integral_formula_check, table1_report
 from folbend.quadrature import QuadratureConfig, UndecidedError, adaptive_quadrature, integrate_open
 from folbend.spaces import FocalVariety, ModelSpace, parse_focal, parse_space
 from folbend.tubes import NotComputableError, tube_profile
-from oracles import exact_bending, reference_ratio, torus_riemann_oracle
+from oracles import exact_bending, reference_ratio, torus_reference, torus_riemann_oracle
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 POINT = FocalVariety.point()
@@ -277,16 +279,25 @@ class TestTorus:
         with np.errstate(all="ignore"), pytest.raises(UndecidedError):
             torus_bending(R, r, area_weighted=weighted)
 
-    @pytest.mark.xfail(strict=True, reason="the error bar misses the exact value 4.6-fold")
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-6])
     def test_bar_holds_on_a_narrow_gap(self, rel_tol):
-        # R - r = 0.046: 99.08902500421594 +- 6.79e-7, against the exact
-        # 99.08902186745989 (error 3.14e-6); a tube_sweep request found it.
+        # R - r = 0.046: quadrature gave 99.08902500421594 +- 6.79e-7, against
+        # the exact 99.08902186745989 (error 3.14e-6); a tube_sweep request found it.
         R, r = 0.6168842670015278, 0.5707425855031254
-        root = math.sqrt((R - r) * (R + r))  # the closed form without cancellation
-        exact = 2.0 * math.pi**2 / ((R + root) * root)
         res = torus_bending(R, r, QuadratureConfig(rel_tol=rel_tol))
-        assert abs(res.value - exact) <= res.error_estimate
+        assert abs(Decimal(res.value) - torus_reference(R, r)) <= res.error_estimate
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["flat", "weighted"])
+    def test_bar_holds_on_random_tori(self, weighted):
+        # r log-uniform over 1e-100..1e100 and the gap R/r - 1 over 1e-12..1e3,
+        # against a 60-digit reference; the bar is a rounding count, 16 eps.
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            r = 10.0 ** rng.uniform(-100.0, 100.0)
+            R = r * (1.0 + 10.0 ** rng.uniform(-12.0, 3.0))
+            res = torus_bending(R, r, area_weighted=weighted)
+            assert abs(Decimal(res.value) - torus_reference(R, r, weighted)) <= res.error_estimate
+            assert res.error_estimate == 16.0 * sys.float_info.epsilon * res.value
 
     def test_small_radii_keep_their_bits(self):
         res = torus_bending(1e-150, 5e-151)
@@ -308,13 +319,15 @@ class TestComplexRadial:
         assert res.status == "finite"
         assert res.value_per_volume == pytest.approx(2.0 * lam, rel=1e-9)
 
-    def test_midpoint_density(self):
-        m, lam = 3, 2.0
-        density = complex_radial_density(m, lam)
-        mu = math.pi / (2 * math.sqrt(lam))
-        expected = (2 * m - 2) * lam / math.tan(math.sqrt(lam) * mu / 2) ** 2
-        assert float(density(mu / 2)) == pytest.approx(expected, rel=1e-12)
-        assert float(density(mu / 2)) == pytest.approx((2 * m - 2) * lam, rel=1e-12)
+    @pytest.mark.parametrize("lam", [5e-324, 1e-300, 2.5e-150, 1e-5, 1.0, 3.7e5, 6e150,
+                                     1e300, 4.4e307])
+    def test_ratio_is_exactly_twice_curvature(self, lam):
+        # the closed form 2 lam, exact in floating point, for every m
+        for m in range(2, 201):
+            res = complex_radial_bending(m, lam)
+            assert (res.status, res.value_per_volume, res.error_estimate) == (
+                "finite", 2.0 * lam, 0.0)
+            assert res.mu == math.pi / (2.0 * math.sqrt(lam))
 
     def test_rejects_small_m(self):
         for bad in (1, 0, -3):
@@ -401,6 +414,20 @@ class TestAgainstThePanelLoop:
         # A divergence verdict takes no quadrature; every other answer one pass.
         if isinstance(result, BendingResult):
             assert len(calls) == (0 if result.status == "divergent" else 1)
+
+
+def test_closed_forms_run_no_quadrature(monkeypatch):
+    # Every quadrature entry point evaluates its integrand in the Kronrod kernel.
+    calls = []
+    kernel = quadrature._gk15
+    monkeypatch.setattr(quadrature, "_gk15", lambda *args: calls.append(args) or kernel(*args))
+    torus_bending(2.0, 1.0, TIGHT)
+    torus_bending(1.0, 0.9999999999, area_weighted=True)
+    complex_radial_bending(3, 2.0, TIGHT)
+    complex_radial_bending(100000)
+    assert calls == []
+    quadrature.adaptive_quadrature(np.cos, 0.0, 1.0)  # the counter itself sees a call
+    assert len(calls) == 1
 
 
 def _ladder_calls(monkeypatch):

@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import pytest
 
 from folbend import bending, bounds, cli
 from folbend.quadrature import UndecidedError
 from folbend.spaces import parse_focal, parse_space
-from oracles import BOUND_SPACES, label_reading
+from oracles import BOUND_SPACES, label_reading, torus_reference
 from test_cli_golden import CASES as GOLDEN_CASES
 
 
@@ -194,11 +195,13 @@ class TestOtherCommands:
         assert code == 2
 
     @pytest.mark.parametrize("radii", [["--R", "3e-154", "--r", "1e-154"],
-                                       ["--R", "2e-155", "--r", "1e-155"]], ids=" ".join)
+                                       ["--R", "2e-155", "--r", "1e-155"],
+                                       ["--R", "1e300", "--r", "1"]], ids=" ".join)
     @pytest.mark.parametrize("weighted", [[], ["--area-weighted"]], ids=["flat", "weighted"])
     def test_torus_past_the_float_range_is_undecided(self, radii, weighted, capsys):
         # 3e-154: the bound 2 (pi/(R-r))^2 overflows (the flat value, about
-        # 1.197e308, does not); 2e-155: the integrand overflows
+        # 1.197e308, does not); 2e-155: (R - r)(R + r) underflows; 1e300: it
+        # overflows, and the bound underflows
         code, out, err = run_main(["torus", *radii, *weighted, "--json"], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("folbend: undecided: ") and err.count("\n") == 1
@@ -208,6 +211,15 @@ class TestOtherCommands:
         assert code == 0
         assert assert_json_round_trips(out)["value"] == pytest.approx(1.2214664915510e301,
                                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["flat", "weighted"])
+    def test_torus_on_a_narrow_gap(self, weighted, capsys):
+        argv = ["torus", "--R", "1", "--r", "0.9999999999", "--json"]
+        code, out, _ = run_main(argv + ["--area-weighted"] * weighted, capsys)
+        assert code == 0
+        payload = assert_json_round_trips(out)
+        exact = torus_reference(1.0, 0.9999999999, weighted)
+        assert abs(Decimal(payload["value"]) - exact) <= payload["error_estimate"]
 
     def test_complex_radial(self, capsys):
         code, out, _ = run_main(["complex-radial", "--m", "3", "--json"], capsys)
@@ -486,6 +498,8 @@ TOLERANCE_COMMANDS = [
     ["check-integral"],
     ["minimizer", "--space", "S:3"],
 ]
+# Commands that evaluate closed forms and accept the tolerances without using them.
+CLOSED_FORM_COMMANDS = ("torus", "complex-radial")
 ENV_READERS = ([("FOLBEND_LAMBDA", argv) for argv in LAMBDA_COMMANDS]
                + [(name, argv) for name in ("FOLBEND_REL_TOL", "FOLBEND_ABS_TOL")
                   for argv in TOLERANCE_COMMANDS])
@@ -522,14 +536,19 @@ def test_environment_stands_for_its_flags(setting, argv, capsys, monkeypatch):
     assert run_main(argv + ["--json"], capsys) == want
     for name, value in other.items():
         monkeypatch.setenv(name, value)
-    assert run_main(argv + ["--json"], capsys) != want  # the variables are read
+    if setting == "tolerances" and argv[0] in CLOSED_FORM_COMMANDS:
+        # The answer does not depend on the tolerances, but they are read and checked.
+        assert run_main(argv + ["--json"], capsys) == want
+        monkeypatch.setenv("FOLBEND_REL_TOL", "1.5")
+        assert run_main(argv + ["--json"], capsys)[0] == 2
+    else:
+        assert run_main(argv + ["--json"], capsys) != want  # the variables are read
     assert run_main(argv + flags + ["--json"], capsys) == want  # and a flag overrides them
 
 
 @pytest.mark.parametrize("argv", [
     ["bending", "--space", "S:3", "--lambda", "1e300"],
     ["bending", "--space", "S:3", "--epsilon", "0.5", "--lambda", "1e300"],
-    ["complex-radial", "--m", "3", "--lambda", "1e300"],
     ["check-integral", "--lambda", "1e300"],
     ["table1", "--lambda", "1e200"],
 ])
@@ -546,7 +565,6 @@ def test_underflowing_volume_is_undecided(argv):
     ["bending", "--space", "S:200", "--lambda", "1e-5", "--epsilon", "0.5"],
     ["check-integral", "--space", "S:200", "--lambda", "1e-5"],
     ["minimizer", "--space", "S:200", "--lambda", "1e-5"],
-    ["complex-radial", "--m", "50", "--lambda", "1e-100"],
     ["bending", "--space", "HP:3", "--lambda", "1e-200"],
     ["table1", "--lambda", "1e-300"],
     ["check-integral", "--space", "S:3", "--lambda", "1e-300"],
@@ -560,6 +578,19 @@ def test_overflowing_density_is_undecided(argv, capsys):
     assert code == 3
     assert err.startswith("folbend: undecided: ") and err.count("\n") == 1
     assert caught == []
+
+
+@pytest.mark.parametrize("m, lam", [
+    ("3", "1e300"), ("50", "1e-100"), ("3", "1e-300"), ("2", "1e300"), ("200", "1e5"),
+    ("100000", "1"),
+])
+def test_complex_radial_is_twice_lambda_at_any_scale(m, lam, capsys):
+    # the closed form 2 lam integrates nothing, so no scale in the float range
+    # is undecided unless the branch curvature 4 lam overflows
+    code, out, _ = run_main(["complex-radial", "--m", m, "--lambda", lam, "--json"], capsys)
+    assert code == 0
+    payload = assert_json_round_trips(out)
+    assert (payload["value_per_volume"], payload["error_estimate"]) == (2.0 * float(lam), 0.0)
 
 
 @pytest.mark.parametrize("argv, pair", [
@@ -589,6 +620,8 @@ def _no_constant(name):
 EDGE_JSON = [
     ["torus", "--R", "1e-150", "--r", "5e-151", "--json"],
     ["torus", "--R", "1e-150", "--r", "5e-151", "--area-weighted", "--json"],
+    ["torus", "--R", "1", "--r", "0.9999999999", "--json"],
+    ["complex-radial", "--m", "3", "--lambda", "1e-300", "--json"],
     ["bounds", "--space", "S:3", "--q", "1", "--case", "I", "--lambda", "1e308", "--json"],
     ["bounds", "--space", "CaP2", "--q", "1", "--case", "III", "--lambda", "1e308", "--json"],
     ["bending", "--space", "S:3", "--epsilon", "0.3", "--json"],

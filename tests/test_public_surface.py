@@ -31,8 +31,7 @@ PUBLIC = {
     },
     "bending": {
         "BendingResult", "TorusResult", "EnergyResult", "total_bending",
-        "epsilon_deformed_bending", "torus_bending", "complex_radial_bending",
-        "complex_radial_density", "energy",
+        "epsilon_deformed_bending", "torus_bending", "complex_radial_bending", "energy",
     },
     "bounds": {
         "BoundCase", "LowerBound", "lower_bound", "einstein_lower_bound",

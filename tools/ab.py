@@ -29,7 +29,8 @@ every answer is the same on both sides: the ``repr`` of the value or the
 exception in process, the standard output of the CLI.  A change that alters
 answers on purpose need not keep that.  The last line is all of it as JSON.
 The exit status is 1 when either side has a HARD cause (an exception, a bad
-exit or a wrong verdict), and 0 otherwise.
+exit or a wrong verdict), and 0 otherwise, also when the reader of stdout
+closes it early.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ import collections
 import itertools
 import json
 import math
+import os
 import resource
 import statistics
 import sys
@@ -179,10 +181,16 @@ def main(argv=None) -> int:
     n = args.requests or REQUESTS[args.workload]
     sides = (_load(args.workload, args.base), _load(args.workload, args.change))
     results = []
-    for seed in args.seeds:
-        results.append(compare(args.workload, sides, seed, n))
-        print(_line(results[-1]), flush=True)
-    print(json.dumps(results))
+    try:
+        for seed in args.seeds:
+            results.append(compare(args.workload, sides, seed, n))
+            print(_line(results[-1]), flush=True)
+        print(json.dumps(results), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     hard = [cause for r in results for side in ("base", "change")
             for cause in r[side]["causes"] if cause in workloads.HARD]
     return 1 if hard else 0
