@@ -198,11 +198,13 @@ def torus_bending(
 
     The flat default is pi times the integral of sin(t)^2 / (R + r cos(t))^2
     over t in (0, 2 pi) (the phi integral is a constant factor 2 pi), which
-    is 2 pi^2 / ((R + s) s) with s = sqrt((R - r)(R + r)); its upper bound is
+    is 2 pi^2 / (R + s) / s with s = sqrt((R - r)(R + r)); its upper bound is
     2 (pi / (R - r))^2.  ``area_weighted`` puts the surface area element
-    r (R + r cos t) into the integrand, for 2 pi^2 r / (R + s).  Both forms
-    are free of cancellation, and each of their roughly ten roundings, that
-    of pi included, is within half an eps relative, so 16 eps times the value
+    r (R + r cos t) into the integrand, for 2 pi^2 / ((R + s) / r).  Both
+    forms are free of cancellation, and once (R - r)(R + r) and the value are
+    normal, so is every intermediate (2 pi^2 / (R + s) and (R + s) / r are
+    at least 1e-154 and 1), so each of their roughly ten roundings, that of
+    pi included, is within half an eps relative and 16 eps times the value
     bounds the error.  ``quad`` is accepted for a uniform signature and not
     used.  Radii for which (R - r)(R + r), the value, its error bound or the
     upper bound is not a positive normal float raise UndecidedError.
@@ -214,9 +216,9 @@ def torus_bending(
     if _normal(square):
         root = math.sqrt(square)
         if area_weighted:
-            value = 2.0 * math.pi**2 * r / (R + root)
+            value = 2.0 * math.pi**2 / ((R + root) / r)
         else:
-            value = 2.0 * math.pi**2 / ((R + root) * root)
+            value = 2.0 * math.pi**2 / (R + root) / root
         try:
             bound = 2.0 * (math.pi / (R - r)) ** 2
         except OverflowError:  # float ** raises where * gives inf

@@ -272,7 +272,7 @@ class TestTorus:
 
     @pytest.mark.parametrize("R,r,weighted", [
         (3e-154, 1e-154, False), (3e-154, 1e-154, True),  # the bound overflows
-        (2e-155, 1e-155, False), (2e-155, 1e-155, True),  # the integrand overflows
+        (2e-155, 1e-155, False), (2e-155, 1e-155, True),  # (R - r)(R + r) underflows
         (1.5e308, 1e308, True),                           # R + r overflows
     ])
     def test_past_the_float_range_is_undecided(self, R, r, weighted):
@@ -298,6 +298,34 @@ class TestTorus:
             res = torus_bending(R, r, area_weighted=weighted)
             assert abs(Decimal(res.value) - torus_reference(R, r, weighted)) <= res.error_estimate
             assert res.error_estimate == 16.0 * sys.float_info.epsilon * res.value
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["flat", "weighted"])
+    def test_bar_holds_on_a_subnormal_tube(self, weighted):
+        # r below the normal range: r times 2 pi^2 would be rounded on the
+        # subnormal grid (1.3% off at r = 5e-324), so every rounding has to
+        # happen at normal magnitude, or the value is undecided.
+        rng = random.Random(20261020)
+        decided = 0
+        for _ in range(500):
+            r = max(rng.random() * sys.float_info.min, 5e-324)
+            R = 10.0 ** rng.uniform(-154.0, -15.0)
+            try:
+                res = torus_bending(R, r, area_weighted=weighted)
+            except UndecidedError:
+                continue
+            decided += 1
+            assert abs(Decimal(res.value) - torus_reference(R, r, weighted)) <= res.error_estimate
+        assert decided >= 100
+        res = torus_bending(1e-100, 5e-324, area_weighted=weighted)
+        assert abs(Decimal(res.value) - torus_reference(1e-100, 5e-324, weighted)) <= res.error_estimate
+
+    def test_wide_torus_is_decided_where_its_bar_is_normal(self):
+        # R = 1.2e154: 2 R^2 overflows, the value pi^2 / R^2 = 6.9e-308 does
+        # not, but its bar is subnormal; the area-weighted value is larger.
+        with pytest.raises(UndecidedError):
+            torus_bending(1.2e154, 1.0)
+        res = torus_bending(1.2e154, 1.0, area_weighted=True)
+        assert abs(Decimal(res.value) - torus_reference(1.2e154, 1.0, True)) <= res.error_estimate
 
     def test_small_radii_keep_their_bits(self):
         res = torus_bending(1e-150, 5e-151)

@@ -221,6 +221,14 @@ class TestOtherCommands:
         exact = torus_reference(1.0, 0.9999999999, weighted)
         assert abs(Decimal(payload["value"]) - exact) <= payload["error_estimate"]
 
+    def test_torus_with_a_subnormal_tube(self, capsys):
+        argv = ["torus", "--R", "1e-100", "--r", "5e-324", "--area-weighted", "--json"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        payload = assert_json_round_trips(out)
+        exact = torus_reference(1e-100, 5e-324, True)
+        assert abs(Decimal(payload["value"]) - exact) <= payload["error_estimate"]
+
     def test_complex_radial(self, capsys):
         code, out, _ = run_main(["complex-radial", "--m", "3", "--json"], capsys)
         assert code == 0
