@@ -9,12 +9,13 @@ integral identity, and reproduces the reference value table.
 
 Layout (import from these modules; the package itself re-exports nothing):
 
-- ``quadrature``: adaptive panel integration with honest error estimates
-  and endpoint divergence classification on open intervals.
+- ``quadrature``: adaptive panel integration with honest error estimates;
+  its endpoint ladder serves no catalog path, since divergence comes from
+  the exact endpoint orders of the tubes.
 - ``torsion``: pointwise invariants of an orthogonal splitting and the
   inequalities between them.
 - ``spaces``: the model space catalog with its curvature data.
-- ``tubes``: distance-tube profiles (principal curvatures and density).
+- ``tubes``: distance-tube profiles (branches, cut, endpoint orders, density).
 - ``bending``: the bending/energy functionals built on the above.
 - ``bounds``: lower bounds, the integral identity, the reference table.
 - ``cli``: the ``folbend`` command line front end.

@@ -91,15 +91,6 @@ class EnergyResult:
     bending: BendingResult
 
 
-def _divergence(prof: TubeProfile) -> Optional[BendingResult]:
-    """The verdict where the bending integral of ``prof`` diverges, else None."""
-    ends = [end for end, order in zip(("0", "mu"), prof.orders) if order == 1]
-    if not ends:
-        return None
-    return BendingResult(status="divergent", divergent_endpoint="both" if ends[1:] else ends[0],
-                         exponent_estimate=1.0, mu=prof.mu, branches=prof.branches)
-
-
 def _per_volume(
     prof: TubeProfile,
     rows: Callable,
@@ -111,8 +102,9 @@ def _per_volume(
     ``rows`` gives the density and theta at radii r, integrated over (0, mu)
     on shared panels.  Outside a ``window`` the density is zero; its edges
     are breakpoints, so every panel is smooth even where the density
-    diverges at an end.  A density that overflows or a volume that is not
-    a normal float raises UndecidedError.
+    diverges at an end.  A density that overflows, or a volume or a nonzero
+    ratio that is not a normal float, raises UndecidedError: on the subnormal
+    grid the density and the ratio round past their error estimate.
     """
     breaks, integrand = (0.0, prof.mu), rows
     if window is not None:
@@ -134,6 +126,9 @@ def _per_volume(
     except ValueError as exc:  # a non-finite density value
         raise UndecidedError(f"the density of {prof.space.label} / {prof.focal.label} "
                              f"overflows at this curvature scale: {exc}") from exc
+    if ratio and not _normal(abs(ratio)):
+        raise UndecidedError(f"the ratio {ratio!r} of {prof.space.label} / {prof.focal.label} "
+                             "falls below the normal float range")
     absolute = volume = None
     if prof.area_constant is not None:
         absolute = prof.area_constant * val
@@ -156,7 +151,11 @@ def total_bending(
 ) -> BendingResult:
     """Total bending per unit volume of the radial/tubular foliation."""
     prof = tube_profile(space, focal)
-    return _divergence(prof) or _per_volume(prof, prof.bending_rows, quad)
+    end = prof.divergent_endpoint
+    if end is None:
+        return _per_volume(prof, prof.bending_rows, quad)
+    return BendingResult(status="divergent", divergent_endpoint=end, exponent_estimate=1.0,
+                         mu=prof.mu, branches=prof.branches)
 
 
 def epsilon_deformed_bending(

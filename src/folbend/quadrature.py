@@ -169,12 +169,12 @@ def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list, li
     hi = np.asarray(b, dtype=float)
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    y = np.asarray(f(x.reshape(-1)), dtype=float)
-    if y.shape not in ((x.size,), (2, x.size)):
-        raise ValueError("integrand must map a vector of nodes to a vector of values, "
-                         "or to two rows of them")
-    rows = np.ascontiguousarray(y).reshape(-1, 15)
     with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is sorted out below
+        y = np.asarray(f(x.reshape(-1)), dtype=float)
+        if y.shape not in ((x.size,), (2, x.size)):
+            raise ValueError("integrand must map a vector of nodes to a vector of values, "
+                             "or to two rows of them")
+        rows = np.ascontiguousarray(y).reshape(-1, 15)
         kron, err = _reduce(rows, half)
         integrals, errors, bad = kron.tolist(), err.tolist(), []
         # f has one or two rows; all Kronrod weights are positive, so a non-finite value shows here.

@@ -171,6 +171,14 @@ class TubeProfile:
     def boundary_leaf_regular(self) -> bool:
         return self.orders[1] == 0
 
+    @property
+    def divergent_endpoint(self) -> Optional[str]:
+        """The ends with Z = 1, where the bending diverges: None, "0", "mu" or "both"."""
+        z_0, z_mu = self.orders
+        if z_0 == 1:
+            return "both" if z_mu == 1 else "0"
+        return "mu" if z_mu == 1 else None
+
     def _x(self, r) -> tuple[tuple, np.ndarray]:
         """Shape of r, and sqrt(kappa)*r per branch at the flattened radii."""
         r = np.asarray(r, dtype=float)
@@ -231,30 +239,39 @@ class TubeProfile:
         return np.column_stack([r, *self.alpha_values(r), self.theta(r)])
 
 
-def _build(space, focal, branch_data, mu, orders, area_constant=None) -> TubeProfile:
-    if any(math.isinf(k) for k, m, _ in branch_data if m > 0):
-        raise UndecidedError(f"the branch curvature 4*lambda of {space.label} / {focal.label} "
-                             f"overflows at lambda = {space.lam!r}")
-    branches = tuple(JacobiBranch(k, m, i) for k, m, i in branch_data if m > 0)
-    return TubeProfile(space, focal, branches, mu, area_constant, orders)
+def _build(space, focal, branch_data, turns, area_constant=None) -> TubeProfile:
+    # At mu a branch reaches x = k*turns*pi/2, a zero of sin (NORMAL) if
+    # k*turns is even and of cos (TANGENT) if it is odd.
+    lam, branches, z_0, z_mu = space.lam, [], 0, 0
+    for k, mult, init in branch_data:
+        if mult > 0:
+            if math.isinf(k * k * lam):
+                raise UndecidedError(f"the branch curvature 4*lambda of {space.label} / "
+                                     f"{focal.label} overflows at lambda = {lam!r}")
+            branches.append(JacobiBranch(k * k * lam, mult, init))
+            z_0 += mult if init is InitKind.NORMAL else 0
+            z_mu += mult if (k * turns % 2 == 0) == (init is InitKind.NORMAL) else 0
+    mu = turns * math.pi / (2.0 * math.sqrt(lam))
+    return TubeProfile(space, focal, tuple(branches), mu, area_constant, (z_0, z_mu))
 
 
 def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
     """Branch data, cut distance and density for one cataloged pair.
 
     The branches of every family follow from n = ``space.dim`` and nu =
-    ``space.invariant_count`` (A. Gray, *Tubes*, 2nd ed., 2004), and so do the
-    orders: NORMAL branches vanish at r = 0; at mu, the lam branch on S, and
-    the TANGENT and 4*lam branches elsewhere.
+    ``space.invariant_count`` (A. Gray, *Tubes*, 2nd ed., 2004), each as a
+    frequency k = 1 or 2 with kappa = k*k*lam; the cut is mu = turns * pi /
+    (2 sqrt(lam)), with turns = 2 half turns around a point of S and 1
+    elsewhere.  The orders follow from these alone: Z_0 sums the NORMAL
+    multiplicities, and Z_mu those of the branches where k*turns is even
+    exactly when they are NORMAL.
 
     Raises ValueError for pairs outside the catalog, NotComputableError
     for the two classical pairs whose tube data the catalog cannot supply
     (RP^m in CP^m and CP^m in HP^m), and UndecidedError where the branch
     curvature 4*lambda overflows.
     """
-    lam, n, nu, m = space.lam, space.dim, space.invariant_count, space.m
-    root = math.sqrt(lam)
-    fam = space.family
+    n, nu, m, fam = space.dim, space.invariant_count, space.m, space.family
     N, T = InitKind.NORMAL, InitKind.TANGENT
 
     if focal.kind == "point":
@@ -263,10 +280,8 @@ def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
             raise ValueError(f"no radial foliation on {space}: need dimension >= 2")
         if m < 2:
             raise ValueError(f"{space} is isometric to a sphere; use the sphere catalog entry")
-        mu = math.pi / root if fam is Family.SPHERE else math.pi / (2.0 * root)
-        far = {Family.SPHERE: n - 1, Family.REAL_PROJECTIVE: 0}.get(fam, nu)
         return _build(
-            space, focal, [(lam, n - 1 - nu, N), (4.0 * lam, nu, N)], mu, (n - 1, far),
+            space, focal, [(1, n - 1 - nu, N), (2, nu, N)], 2 if fam is Family.SPHERE else 1,
             area_constant=_unit_sphere_area(n) if round_family else None,
         )
 
@@ -274,11 +289,8 @@ def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
     if sub is fam:
         if not (1 <= p <= m - 1):
             raise ValueError(f"no totally geodesic {focal.label} inside {space}")
-        return _build(
-            space, focal,
-            [(lam, (nu + 1) * p, T), (lam, (nu + 1) * (m - 1 - p), N), (4.0 * lam, nu, N)],
-            math.pi / (2.0 * root), ((nu + 1) * (m - 1 - p) + nu, (nu + 1) * p + nu),
-        )
+        return _build(space, focal,
+                      [(1, (nu + 1) * p, T), (1, (nu + 1) * (m - 1 - p), N), (2, nu, N)], 1)
     if p == m and (fam, sub) in ((Family.COMPLEX_PROJECTIVE, Family.REAL_PROJECTIVE),
                                  (Family.QUATERNIONIC_PROJECTIVE, Family.COMPLEX_PROJECTIVE)):
         raise NotComputableError(

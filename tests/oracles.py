@@ -185,6 +185,23 @@ _DIM_FACTOR = {"S": 1, "RP": 1, "CP": 2, "HP": 4, "CaP": 8}
 _NU = {"S": 0, "RP": 0, "CP": 1, "HP": 3, "CaP": 7}
 
 
+def catalog_labels(max_dim=200, every_p_to=24):
+    """(space, focal) labels of every family and index up to ``max_dim``, with
+    every focal variety up to dimension ``every_p_to`` and, above it, the
+    sub-spaces at both ends of the range of p and in its middle."""
+    for family, factor in (("S", 1), ("RP", 1), ("CP", 2), ("HP", 4)):
+        for m in range(2, max_dim // factor + 1):
+            space = f"{family}:{m}"
+            yield space, "point"
+            ps = range(1, m)
+            if factor * m > every_p_to:
+                ps = sorted({p for p in (1, 2, m // 2, m - 2, m - 1) if 1 <= p < m})
+            yield from ((space, f"sub:{family}:{p}") for p in ps)
+            if family in ("CP", "HP"):
+                yield space, f"sub:{'RP' if family == 'CP' else 'CP'}:{m}"
+    yield "CaP2", "point"
+
+
 def catalog_branches(space, focal):
     """(kind, multiplicity) of the branches of a catalog pair given by its
     labels; None for the two pairs whose tube data is not computable."""

@@ -8,6 +8,7 @@ under test.
 import math
 import random
 import sys
+import warnings
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -31,7 +32,13 @@ from folbend.bounds import integral_formula_check, table1_report
 from folbend.quadrature import QuadratureConfig, UndecidedError, adaptive_quadrature, integrate_open
 from folbend.spaces import FocalVariety, ModelSpace, parse_focal, parse_space
 from folbend.tubes import NotComputableError, tube_profile
-from oracles import exact_bending, reference_ratio, torus_reference, torus_riemann_oracle
+from oracles import (
+    catalog_labels,
+    exact_bending,
+    reference_ratio,
+    torus_reference,
+    torus_riemann_oracle,
+)
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 POINT = FocalVariety.point()
@@ -139,6 +146,12 @@ class TestCurvatureScaling:
         assert res.status == "divergent"
         assert res.divergent_endpoint == "mu"
 
+    def test_a_ratio_below_the_normal_range_is_undecided(self):
+        # B/Vol = 21/41 lam = 2.05e-323 came out as 1e-323 +- 5e-324: on the
+        # subnormal grid the density and the ratio round past their estimate.
+        with pytest.raises(UndecidedError):
+            total_bending(parse_space("RP:43", 4e-323), parse_focal("sub:RP:42"))
+
     def test_volume_meets_its_tolerance_past_a_gauss_sum_overflow(self):
         # The first volume panel's Gauss sum overflows here; bisecting it
         # turned the running error into NaN, which ended the refinement early.
@@ -157,6 +170,23 @@ class TestCurvatureScaling:
         assert abs(vol - exact) <= 1e-8 * exact
         assert abs(shared[3] - exact) <= 1e-8 * exact
         assert abs(res.value_per_volume - lam * 59 / 116) <= res.error_estimate
+
+
+class TestOverflowWithoutWarnings:
+    # The quadrature called the integrand before its errstate block, so an
+    # overflowing density warned (an error under -W error) before it ended
+    # undecided outside the command line, which silences numpy itself.
+    @pytest.mark.parametrize("space,lam", [("S:200", 1e-5), ("S:3", 1e-300), ("HP:3", 1e-200)])
+    @pytest.mark.parametrize("call", [
+        lambda space: total_bending(space, POINT),
+        lambda space: epsilon_deformed_bending(space, POINT, 0.5),
+        lambda space: integral_formula_check(space, POINT),
+    ], ids=["total", "epsilon", "identity"])
+    def test_overflow_is_undecided_and_silent(self, space, lam, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndecidedError):
+                call(parse_space(space, lam))
 
 
 def s2_deformed_closed_form(eps):
@@ -482,24 +512,7 @@ def test_no_bending_path_runs_the_endpoint_ladder(monkeypatch, capsys):
     assert len(calls) == 2
 
 
-def _catalog(max_dim=200, every_p_to=24):
-    """(space, focal) labels of every family and index up to ``max_dim``, with
-    every focal variety up to dimension ``every_p_to`` and, above it, the
-    sub-spaces at both ends of the range of p and in its middle."""
-    for family, factor in (("S", 1), ("RP", 1), ("CP", 2), ("HP", 4)):
-        for m in range(2, max_dim // factor + 1):
-            space = f"{family}:{m}"
-            yield space, "point"
-            ps = range(1, m)
-            if factor * m > every_p_to:
-                ps = sorted({p for p in (1, 2, m // 2, m - 2, m - 1) if 1 <= p < m})
-            yield from ((space, f"sub:{family}:{p}") for p in ps)
-            if family in ("CP", "HP"):
-                yield space, f"sub:{'RP' if family == 'CP' else 'CP'}:{m}"
-    yield "CaP2", "point"
-
-
-CATALOG = list(_catalog()) + [("S:600", "point"), ("S:80", "sub:S:40")]
+CATALOG = list(catalog_labels()) + [("S:600", "point"), ("S:80", "sub:S:40")]
 FAMILIES = ("S:", "RP:", "CP:", "HP:", "CaP2")
 
 

@@ -3,12 +3,13 @@ and the main human summaries, pinned against files under tests/golden/.
 
 The files were written by running this module as a script,
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
 
 on the commit before the JSON documents were built by one generic
 serializer (x86-64, Python 3.11, numpy 2.4).  Running it again rewrites
-them from the current code; do that only for a deliberate change of the
-output contract.
+the named files, or all of them without a name, from the current code; do
+that only for a deliberate change of the output contract, and check with
+``git diff`` that nothing else in a rewritten file moved.
 
 Keys, strings, ints, bools and nulls must match exactly.  Floats must
 match to 1e-12 relative, with an absolute floor of 1e-14 for quantities
@@ -116,7 +117,10 @@ def test_cli_output_matches_golden(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, exit_code) in CASES.items():
+    for name in sys.argv[1:] or CASES:
+        if name not in CASES:
+            sys.exit(f"{name}: not a golden file name; one of {', '.join(CASES)}")
+        argv, exit_code = CASES[name]
         code, out, err = _run(argv)
         if (code, err) != (exit_code, ""):
             sys.exit(f"{name}: exit {code}, stderr {err!r}")

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from folbend.quadrature import UndecidedError
 from folbend.spaces import Family, FocalVariety, ModelSpace, parse_focal, parse_space
 from folbend.tubes import (
     InitKind,
@@ -15,6 +16,8 @@ from folbend.tubes import (
     tube_profile,
     write_profile_csv,
 )
+from oracles import exact_bending
+from test_bending import CATALOG as CATALOG_LABELS
 
 POINT = FocalVariety.point()
 
@@ -259,12 +262,50 @@ class TestCatalog:
         ("CP:3", "sub:CP:1", (3, 3)), ("HP:3", "sub:HP:1", (7, 7)),
     ])
     def test_endpoint_orders(self, space, focal, orders):
-        # Z_0 counts the NORMAL multiplicities; Z_mu those of the branches
-        # whose first zero is mu: lam on S, TANGENT and 4 lam at x = pi/2.
+        # Derived from the branch table: Z_0 sums the NORMAL multiplicities,
+        # Z_mu those of the branches (frequency k, kappa = k*k*lam) where
+        # k*turns is even exactly when they are NORMAL; the cut is turns =
+        # 2 half turns around a point of S and 1 elsewhere.
         prof = tube_profile(parse_space(space, lam=3.0), parse_focal(focal))
         assert prof.orders == orders
         assert orders[0] == sum(b.multiplicity for b in prof.branches
                                 if b.init is InitKind.NORMAL)
+        assert prof.divergent_endpoint == {(False, False): None, (True, False): "0",
+                                           (False, True): "mu", (True, True): "both"}[
+            orders[0] == 1, orders[1] == 1]
+
+    def test_derived_data_equals_the_literal_formulas(self):
+        # Reference: mu, kappa and the orders by each family's literal formulas,
+        # which the derivation from branch frequencies and half-turn counts must
+        # reproduce bit for bit over the whole catalog and the float range of lam.
+        undecided = 0
+        for space_text, focal_text in CATALOG_LABELS:
+            if exact_bending(space_text, focal_text)[0] == "not-computable":
+                continue
+            for lam in (5e-324, 1e-300, 1e-5, 1.0, 2.5, 1e300, 1.7e308):
+                space, focal = parse_space(space_text, lam), parse_focal(focal_text)
+                n, nu, m, p = space.dim, space.invariant_count, space.m, focal.p
+                if nu and math.isinf(4.0 * lam):
+                    with pytest.raises(UndecidedError):
+                        tube_profile(space, focal)
+                    undecided += 1
+                    continue
+                root = math.sqrt(lam)
+                if focal.kind == "point":
+                    sphere = space.family is Family.SPHERE
+                    mu = math.pi / root if sphere else math.pi / (2.0 * root)
+                    far = {Family.SPHERE: n - 1, Family.REAL_PROJECTIVE: 0}.get(space.family, nu)
+                    orders = (n - 1, far)
+                    data = [(lam, n - 1 - nu, N), (4.0 * lam, nu, N)]
+                else:
+                    mu = math.pi / (2.0 * root)
+                    orders = ((nu + 1) * (m - 1 - p) + nu, (nu + 1) * p + nu)
+                    data = [(lam, (nu + 1) * p, T), (lam, (nu + 1) * (m - 1 - p), N),
+                            (4.0 * lam, nu, N)]
+                prof = tube_profile(space, focal)
+                assert (prof.mu, prof.orders) == (mu, orders), (space_text, focal_text, lam)
+                assert prof.branches == tuple(JacobiBranch(*b) for b in data if b[1] > 0)
+        assert undecided > 0
 
     @pytest.mark.parametrize("space,focal", CATALOG)
     def test_bending_rows_are_density_and_theta(self, space, focal):
