@@ -170,7 +170,8 @@ def epsilon_deformed_bending(
     At epsilon = 0 the field is parallel on every leaf and the bending is
     exactly zero; at epsilon = pi/2 the window is all of (0, mu) and the
     result must agree with ``total_bending`` (including its divergence
-    verdict, e.g. for the spherical foliation of S^2).
+    verdict, e.g. for the spherical foliation of S^2).  An epsilon > 0 whose
+    edges round to one float (below about 1.1e-16) raises UndecidedError.
     """
     if not (0.0 <= epsilon <= math.pi / 2.0):
         raise ValueError("epsilon must lie in [0, pi/2]")
@@ -179,6 +180,9 @@ def epsilon_deformed_bending(
     prof = tube_profile(space, focal)
     window = (prof.mu * (math.pi - 2.0 * epsilon) / (2.0 * math.pi),
               prof.mu * (math.pi + 2.0 * epsilon) / (2.0 * math.pi))
+    if epsilon > 0.0 and window[1] <= window[0]:
+        raise UndecidedError(f"the window of epsilon = {epsilon!r} on {space.label} / "
+                             f"{focal.label} is narrower than the float resolution of its edges")
     return _per_volume(prof, prof.bending_rows, quad, window)
 
 

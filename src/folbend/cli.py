@@ -28,7 +28,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from enum import Enum
@@ -51,16 +50,9 @@ from .bounds import (
     minimizer_report,
     table1_report,
 )
-from .quadrature import QuadratureConfig, UndecidedError, adaptive_quadrature
+from .quadrature import QuadratureConfig, UndecidedError
 from .spaces import parse_focal, parse_space
-from .tubes import (
-    InitKind,
-    NotComputableError,
-    jacobi_ode_oracle,
-    jacobi_solution,
-    tube_profile,
-    write_profile_csv,
-)
+from .tubes import NotComputableError, tube_profile, write_profile_csv
 
 SCHEMA_VERSION = 1
 
@@ -236,12 +228,12 @@ def _cmd_minimizer(args):
 def _cmd_selfcheck(args):
     from .torsion import SplitDims, mu_identity_residual, random_coefficients
 
-    failures = []
-
-    # exactness of the panel rule on a smooth integrand
-    val, _ = adaptive_quadrature(lambda x: np.cos(x), 0.0, 1.0, QuadratureConfig())
-    if abs(val - math.sin(1.0)) > 1e-12:
-        failures.append("quadrature drifted on cos over [0, 1]")
+    # Table 1 and the default identity survey at lam = 1, through the library's own paths.
+    failures = [f"table 1 row {_table1_line(row, 1.0)}" for row in table1_report().rows
+                if not row.ok]
+    checks = (integral_formula_check(parse_space(space), parse_focal(focal))
+              for space, focal in DEFAULT_CHECK_PAIRS)
+    failures += [f"integral identity {_check_line(r)}" for r in checks if not r.holds]
 
     # algebraic identity between the invariants of random coefficient blocks
     for k in range(5):
@@ -251,23 +243,6 @@ def _cmd_selfcheck(args):
         if max(abs(res_v), abs(res_h)) > 1e-12:
             failures.append(f"invariant identity residual too large at {dims}")
             break
-
-    # closed-form tube solutions against a direct integration oracle
-    for kappa, init in ((1.0, InitKind.NORMAL), (4.0, InitKind.TANGENT)):
-        f, _ = jacobi_solution(kappa, init)
-        for r in (0.3, 0.7, 1.1):
-            g = jacobi_ode_oracle(kappa, init, r, steps=4096)
-            if abs(float(f(r)) - g) > 1e-9:
-                failures.append("tube solution drifted from the integration oracle")
-                break
-
-    # one finite and one divergent reference value
-    res = total_bending(parse_space("S:3"), parse_focal("point"))
-    if res.status != "finite" or abs(res.value_per_volume - 1.0) > 1e-6:
-        failures.append("radial bending on S:3 missed its closed form")
-    div = total_bending(parse_space("S:2"), parse_focal("point"))
-    if div.status != "divergent":
-        failures.append("radial bending on S:2 failed to diverge")
 
     if failures:
         return 1, {}, {}, [f"FAILED: {line}" for line in failures]

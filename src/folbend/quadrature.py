@@ -30,8 +30,9 @@ Three entry points:
     extrapolated geometrically.  No catalog path uses it.
 
 Only the tolerances are settable (``QuadratureConfig``); the refinement
-budget (``MAX_DEPTH`` bisections of a panel, ``MAX_PANELS`` panels) and
-the endpoint policy above are module constants.
+budget (``MAX_PANELS`` panels, each at least ``MAX_DEPTH`` halvings of the
+interval or the float resolution of its edges wide) and the endpoint policy
+above are module constants.
 
 All entry points use the 15-point Gauss-Kronrod rule with its embedded
 7-point Gauss rule, the QK15 rule of QUADPACK (R. Piessens,
@@ -254,8 +255,9 @@ def adaptive_quadrature(
 
     Globally adaptive: the panel with the worst error estimate is bisected
     until the summed estimates meet max(abs_tol, rel_tol*|value|).  Raises
-    UndecidedError if the tolerance is unreachable within the width floor
-    2**-MAX_DEPTH and the panel budget MAX_PANELS.
+    UndecidedError if the tolerance is unreachable within the panel budget
+    MAX_PANELS, or on a panel narrower than both the width floor 2**-MAX_DEPTH
+    (b - a) and the float resolution 8 eps max(|left|, |right|) of its edges.
     """
     config = config or QuadratureConfig()
     if not (b > a):
@@ -320,14 +322,25 @@ def _refine(f: Callable, intervals: list[tuple[float, float]], config: Quadratur
         ratio = v0 / v1 if v1 else math.nan
         return ratio, abs(v1), max(abs(ratio), absol / rel)
 
+    def unmet():  # the summed error estimates miss the tolerance
+        return e0 + w * e1 > max(den * absol, den * (rel * abs(target)),
+                                 32.0 * _EPS * (s0 + w * s1))
+
     (v0, v1), (e0, e1), (s0, s1) = totals()
     target, den, w = scales()
     heap = [(-(err[0] + w * err[1]), *entry[1:5], err) for *entry, err in heap]
     heapq.heapify(heap)
 
-    while e0 + w * e1 > max(den * absol, den * (rel * abs(target)), 32.0 * _EPS * (s0 + w * s1)):
+    while True:
+        # Stop only if a recount agrees: bisecting a dwarfing panel cancels running totals.
+        if not unmet():
+            (v0, v1), (e0, e1), (s0, s1) = totals()
+            target, den, w = scales()
+            if not unmet():
+                break
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if pb - pa <= width_floor or len(heap) + 2 > MAX_PANELS:
+        if (pb - pa <= width_floor and pb - pa <= 8.0 * _EPS * max(abs(pa), abs(pb))
+                or len(heap) + 2 > MAX_PANELS):
             raise UndecidedError(
                 "quadrature did not converge within the refinement budget "
                 f"(residual error {e0 + w * e1:.3e} on [{a}, {b}])"
@@ -348,8 +361,6 @@ def _refine(f: Callable, intervals: list[tuple[float, float]], config: Quadratur
         heapq.heappush(heap, (-(ex[0] + w * ex[1]), tick, pa, mid, x, ex))
         heapq.heappush(heap, (-(ey[0] + w * ey[1]), tick + 1, mid, pb, y, ey))
         tick += 2
-        if math.isnan(e0) or math.isnan(e1):  # an overflowing panel was bisected (inf - inf)
-            (v0, v1), (e0, e1), (s0, s1) = totals()
         target, den, w = scales()
 
     panels = sorted((entry[2], entry[4], entry[5]) for entry in heap)

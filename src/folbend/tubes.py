@@ -11,7 +11,9 @@ an initial condition:
 From the branch solutions we get the leaves' principal curvature functions
 alpha = f'/f and the volume density theta = prod f**mult, defined up to a
 constant factor (supplied explicitly only where the leaves are full
-geodesic spheres, so that absolute volumes make sense).
+geodesic spheres, so that absolute volumes make sense).  ``TubeProfile``
+is the one evaluator of the branches' closed forms; ``tube_profile`` builds
+it for a cataloged pair.
 
 The catalog covers exactly the pairs whose curvature data is available:
 points in all five families, totally geodesic S^k in S^m (likewise RP),
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,8 +43,6 @@ __all__ = [
     "JacobiBranch",
     "TubeProfile",
     "NotComputableError",
-    "jacobi_solution",
-    "jacobi_ode_oracle",
     "tube_profile",
     "write_profile_csv",
 ]
@@ -81,47 +81,6 @@ _CLOSED_FORMS = {
     InitKind.NORMAL: (lambda root, x: np.sin(x) / root, lambda root, x: root / np.tan(x)),
     InitKind.TANGENT: (lambda root, x: np.cos(x), lambda root, x: -root * np.tan(x)),
 }
-
-
-def jacobi_solution(kappa: float, init: InitKind) -> tuple[Callable, Callable]:
-    """Closed-form (f, alpha) for f'' + kappa*f = 0 with the given initial data.
-
-    Both callables accept scalars or numpy arrays.  alpha = f'/f blows up
-    where f vanishes; callers sample it only inside (0, first zero of f).
-    """
-    JacobiBranch(kappa, 1, init)  # checks kappa > 0 and init
-    f, alpha = _CLOSED_FORMS[init]
-    s = math.sqrt(kappa)
-    return (lambda r: f(s, s * np.asarray(r, dtype=float)),
-            lambda r: alpha(s, s * np.asarray(r, dtype=float)))
-
-
-def jacobi_ode_oracle(kappa: float, init: InitKind, r: float, steps: int = 1024) -> float:
-    """f(r) by fixed-step classic fourth-order integration of f'' = -kappa*f.
-
-    Deliberately independent of the closed forms; global error is O(steps**-4).
-    """
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError("kappa must be finite and nonnegative")
-    if r < 0 or not math.isfinite(r):
-        raise ValueError("radius must be finite and nonnegative")
-    if not isinstance(steps, int) or steps < 16:
-        raise ValueError("need at least 16 integration steps")
-    if init is InitKind.NORMAL:
-        y, yp = 0.0, 1.0
-    elif init is InitKind.TANGENT:
-        y, yp = 1.0, 0.0
-    else:
-        raise ValueError(f"unknown initial condition {init!r}")
-    h = r / steps
-    for _ in range(steps):
-        k1y, k1p = yp, -kappa * y
-        k2y, k2p = yp + 0.5 * h * k1p, -kappa * (y + 0.5 * h * k1y)
-        k3y, k3p = yp + 0.5 * h * k2p, -kappa * (y + 0.5 * h * k2y)
-        k4y, k4p = yp + h * k3p, -kappa * (y + h * k3y)
-        y += h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
-        yp += h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-    return y
 
 
 def _unit_sphere_area(n: int) -> Optional[float]:

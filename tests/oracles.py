@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from folbend import quadrature
+from folbend.tubes import InitKind
 
 
 def torus_riemann_oracle(big_radius, small_radius, nodes=1_000_000, *, area_weighted=False):
@@ -34,6 +35,34 @@ def torus_reference(big_radius, small_radius, area_weighted=False):
         if area_weighted:
             return 2 * PI_60**2 * r / (R + s)
         return 2 * PI_60**2 / ((R + s) * s)
+
+
+def jacobi_ode_oracle(kappa, init, r, steps=1024):
+    """f(r) by fixed-step classic fourth-order integration of f'' = -kappa*f.
+
+    Deliberately independent of the closed forms; global error is O(steps**-4).
+    """
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError("kappa must be finite and nonnegative")
+    if r < 0 or not math.isfinite(r):
+        raise ValueError("radius must be finite and nonnegative")
+    if not isinstance(steps, int) or steps < 16:
+        raise ValueError("need at least 16 integration steps")
+    if init is InitKind.NORMAL:
+        y, yp = 0.0, 1.0
+    elif init is InitKind.TANGENT:
+        y, yp = 1.0, 0.0
+    else:
+        raise ValueError(f"unknown initial condition {init!r}")
+    h = r / steps
+    for _ in range(steps):
+        k1y, k1p = yp, -kappa * y
+        k2y, k2p = yp + 0.5 * h * k1p, -kappa * (y + 0.5 * h * k1y)
+        k3y, k3p = yp + 0.5 * h * k2p, -kappa * (y + 0.5 * h * k2y)
+        k4y, k4p = yp + h * k3p, -kappa * (y + h * k3y)
+        y += h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
+        yp += h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+    return y
 
 
 def kronrod_panel(f, a, b):
@@ -95,17 +124,27 @@ def _reference_refine(f, intervals, config, log, rows):
                 [sum(abs(e[4][i]) for e in heap) for i in (0, 1)])
 
     a, b = intervals[0][0], intervals[-1][1]
-    width_floor = (b - a) * 2.0 ** (-quadrature.MAX_DEPTH)
+    width_floor, eps = (b - a) * 2.0 ** (-quadrature.MAX_DEPTH), quadrature._EPS
     heap = [(0.0, i, lo, hi, *panel(lo, hi)) for i, (lo, hi) in enumerate(intervals)]
     v, e, s = totals(heap)
     target, den, w = scales(v)
     heap = [(-(entry[5][0] + w * entry[5][1]), *entry[1:]) for entry in heap]
     heapq.heapify(heap)
     tick = len(heap)
-    while e[0] + w * e[1] > max(den * absol, den * (rel * abs(target)),
-                                32.0 * quadrature._EPS * (s[0] + w * s[1])):
+
+    def unmet():
+        return e[0] + w * e[1] > max(den * absol, den * (rel * abs(target)),
+                                     32.0 * eps * (s[0] + w * s[1]))
+
+    while True:
+        if not unmet():  # stop only if a recount from the panels agrees
+            v, e, s = totals(heap)
+            target, den, w = scales(v)
+            if not unmet():
+                break
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if pb - pa <= width_floor or len(heap) + 2 > quadrature.MAX_PANELS:
+        if (pb - pa <= width_floor and pb - pa <= 8.0 * eps * max(abs(pa), abs(pb))
+                or len(heap) + 2 > quadrature.MAX_PANELS):
             raise quadrature.UndecidedError(
                 "quadrature did not converge within the refinement budget "
                 f"(residual error {e[0] + w * e[1]:.3e} on [{a}, {b}])")
@@ -118,8 +157,6 @@ def _reference_refine(f, intervals, config, log, rows):
         heapq.heappush(heap, (-(ex[0] + w * ex[1]), tick, pa, mid, x, ex))
         heapq.heappush(heap, (-(ey[0] + w * ey[1]), tick + 1, mid, pb, y, ey))
         tick += 2
-        if math.isnan(e[0]) or math.isnan(e[1]):  # inf - inf: recount from the panels
-            v, e, s = totals(heap)
         target, den, w = scales(v)
     panels = sorted((entry[2], entry[4], entry[5]) for entry in heap)
     return [_checked(_fsum([p[1][i] for p in panels]), _fsum([p[2][i] for p in panels]), a, b)

@@ -34,8 +34,8 @@ from folbend.torsion import (
     sigma_inequality_slack,
     umbilical_coefficients,
 )
-from folbend.tubes import InitKind, jacobi_ode_oracle, jacobi_solution, tube_profile
-from oracles import torus_riemann_oracle
+from folbend.tubes import tube_profile
+from oracles import jacobi_ode_oracle, torus_riemann_oracle
 
 TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
 POINT = FocalVariety.point()
@@ -157,17 +157,8 @@ def test_acceptance_7_pointwise_identities():
         if sigma_inequality_slack(witness) != (0.0, 0.0):
             failures.append("umbilical integrable witness has nonzero slack")
 
-    # closed-form tube solutions against direct integration
-    for kappa in (0.5, 1.0, 4.0):
-        for init in (InitKind.NORMAL, InitKind.TANGENT):
-            f, _ = jacobi_solution(kappa, init)
-            for r in np.linspace(0.1, 1.2, 5):
-                if abs(float(f(r)) - jacobi_ode_oracle(kappa, init, float(r),
-                                                       steps=2048)) > 1e-9:
-                    failures.append(f"tube solution off at kappa={kappa}")
-                    break
-
-    # curvature equation and density log-derivative on every catalog profile
+    # curvature equation, density log-derivative and density against direct
+    # integration of the branches' Jacobi equations on every catalog profile
     pairs = [(s, f) for s, f, _ in (
         ("S:3", "point", 0), ("S:6", "point", 0), ("RP:4", "point", 0),
         ("S:5", "sub:S:2", 0), ("CP:3", "point", 0), ("CP:3", "sub:CP:1", 0),
@@ -175,6 +166,12 @@ def test_acceptance_7_pointwise_identities():
     )]
     for space, focal in pairs:
         prof = tube_profile(parse_space(space), parse_focal(focal))
+        for r in np.linspace(0.1 * prof.mu, 0.9 * prof.mu, 5):
+            direct = math.prod(jacobi_ode_oracle(b.kappa, b.init, float(r), steps=2048)
+                               ** b.multiplicity for b in prof.branches)
+            if abs(direct - float(prof.theta(r))) > 1e-9 * abs(direct):
+                failures.append(f"density off the integrated branches on {space}")
+                break
         h = 1e-5 * prof.mu
         alpha = prof.alpha_values
         for r in np.linspace(0.05 * prof.mu, 0.95 * prof.mu, 40):

@@ -10,7 +10,7 @@ import random
 import sys
 import warnings
 from dataclasses import replace
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +33,7 @@ from folbend.quadrature import QuadratureConfig, UndecidedError, adaptive_quadra
 from folbend.spaces import FocalVariety, ModelSpace, parse_focal, parse_space
 from folbend.tubes import NotComputableError, tube_profile
 from oracles import (
+    PI_60,
     catalog_labels,
     exact_bending,
     reference_ratio,
@@ -197,6 +198,19 @@ def s2_deformed_closed_form(eps):
     return 2 * math.pi * math.fsum(s ** (2 * k + 1) / (2 * k + 1) for k in range(1, 400))
 
 
+def s2_window_at_the_ends(w0, w1):
+    """B/Vol of S^2 at lam = 1 over the float window [w0, w1] with both edges
+    within 1e-6 of the ends 0 and pi: 1/4 of the antiderivative log tan(r/2) +
+    cos r of cos^2/sin between them, from the series log tan u = log u + u^2/3
+    + O(u^4) and cos d = 1 - d^2/2 + O(d^4) in the distances d to the ends,
+    in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d0, d1 = Decimal(w0), PI_60 - Decimal(w1)
+        log_tan = lambda d: (d / 2).ln() + (d / 2) ** 2 / 3
+        return float((-log_tan(d1) - log_tan(d0) - 2 + (d0 ** 2 + d1 ** 2) / 2) / 4)
+
+
 class TestEpsilonDeformation:
     S2 = parse_space("S:2")
 
@@ -256,6 +270,24 @@ class TestEpsilonDeformation:
         res = epsilon_deformed_bending(parse_space("S:4"), POINT, 0.3, TIGHT)
         assert res.status == "finite"
         assert 0 < res.value_per_volume < 0.75
+
+    @pytest.mark.parametrize("space", ["S:2", "S:3", "CP:3"])
+    @pytest.mark.parametrize("eps", [5e-324, 1e-17, 1e-16])
+    def test_window_below_the_float_resolution_is_undecided(self, space, eps):
+        # Both edges round to the same float: the window is empty, the exact
+        # bending (about 4 eps^3 / (3 pi) on S:3) is not.
+        with pytest.raises(UndecidedError, match="float resolution"):
+            epsilon_deformed_bending(parse_space(space), POINT, eps)
+
+    def test_window_next_to_the_divergent_ends(self):
+        # The edges lie about 5e-12 from the ends, where the density grows like
+        # 1/d, so the panels next to them must be narrower than 2**-40 mu; the
+        # bar must hold the exact value over the float edges.
+        eps = 1.57079632679
+        res = epsilon_deformed_bending(self.S2, POINT, eps)
+        w0, w1 = (math.pi * (math.pi + sign * 2.0 * eps) / (2.0 * math.pi) for sign in (-1, 1))
+        assert abs(res.value_per_volume - s2_window_at_the_ends(w0, w1)) <= res.error_estimate
+        assert res.error_estimate < 1e-4
 
     @pytest.mark.parametrize("eps", [-0.1, math.pi / 2 + 0.01, 7.0])
     def test_rejects_out_of_range_epsilon(self, eps):

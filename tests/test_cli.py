@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +77,22 @@ class TestBendingCommand:
         assert payload["epsilon"] == 0.5
         assert payload["status"] == "finite"
         assert payload["value"] > 0
+
+    def test_window_below_the_float_resolution_exits_three(self, capsys):
+        # The edges of this window round to the same float; it printed 0.0 +- 0.0.
+        code, out, err = run_main(["bending", "--space", "S:3", "--epsilon", "1e-16", "--json"],
+                                  capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("folbend: undecided: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("space", ["S:2", "CP:2"])
+    def test_window_next_to_a_divergent_end_is_answered(self, space, capsys):
+        code, out, _ = run_main(["bending", "--space", space, "--epsilon", "1.57079632679",
+                                 "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out, parse_constant=_no_constant)
+        assert payload["status"] == "finite"
+        assert 0.0 < payload["error_estimate"] < 1e-4 * payload["value_per_volume"]
 
     def test_csv_output(self, capsys):
         code, out, _ = run_main(["bending", "--space", "S:4", "--csv"], capsys)
@@ -323,6 +340,15 @@ class TestOtherCommands:
         code, out, _ = run_main(["selfcheck"], capsys)
         assert code == 0
         assert "all internal checks passed" in out
+
+    def test_selfcheck_reports_a_row_that_fails(self, capsys, monkeypatch):
+        rows = tuple((space, focal, Fraction(7) if (space, focal) == ("S:3", "point") else form)
+                     for space, focal, form in bounds.DEFAULT_TABLE_ROWS)
+        monkeypatch.setattr(bounds, "DEFAULT_TABLE_ROWS", rows)
+        code, out, _ = run_main(["selfcheck"], capsys)
+        assert code == 1
+        assert out.splitlines() == ["FAILED: table 1 row S:3 / point: B/Vol = 1.000000 "
+                                    "(closed form: 7 * lam = 7.000000) [Failed]"]
 
 
 class TestProcessLevel:

@@ -1,25 +1,32 @@
-"""Domain-wide fuzz gate: ``bending --json`` in process over the catalog.
+"""Domain-wide fuzz gate: the CLI in process over the whole input domain.
 
-Every catalog pair up to dimension 200, with each of its focal varieties, at
-a curvature scale log-uniform over the whole positive float range and with
-both tolerances drawn log-uniform in (0, 1), must end in exit 0 with a
-strict JSON document whose verdict and endpoint are those of
-``oracles.exact_bending`` and whose finite bar contains R * lam exactly, or
-in exit 3 (undecided) with one line on stderr.  Exit 3 is not yet limited to
-the scales where R * lam is not a normal float: the quadrature still
+``bending --json``: every catalog pair up to dimension 200, with each of its
+focal varieties, at a curvature scale log-uniform over the whole positive
+float range and with both tolerances drawn log-uniform in (0, 1), must end
+in exit 0 with a strict JSON document whose verdict and endpoint are those
+of ``oracles.exact_bending`` and whose finite bar contains R * lam exactly,
+or in exit 3 (undecided) with one line on stderr.  Exit 3 is not yet limited
+to the scales where R * lam is not a normal float: the quadrature still
 overflows or underflows at some scales where it is.
+
+``torus --json``: radii across the float range, with both weightings, end in
+exit 2 exactly when 0 < r < R fails, and otherwise in exit 0 with a bar that
+contains ``oracles.torus_reference`` or in exit 3.  ``complex-radial --json``
+ends in exit 2 exactly when m < 2, in exit 3 exactly where 4 lam overflows,
+and otherwise in B/Vol == 2 lam with the bar 0.0.
 """
 import contextlib
 import io
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folbend import cli
-from oracles import catalog_labels, exact_bending
+from oracles import catalog_labels, exact_bending, torus_reference
 
 PAIRS = list(catalog_labels())
 # log10 of the smallest and largest floats that 10.0 ** x reaches.
@@ -28,6 +35,24 @@ LOG_LAM = (-323.3, 308.25)
 
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of ``cli.main`` in process, with no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _document(code, out, err):
+    """The strict JSON document of an answered call; None for exit 3 with one stderr line."""
+    if code == 3:
+        assert out == "" and err.startswith("folbend: undecided: ") and err.count("\n") == 1
+        return None
+    assert (code, err) == (0, "")
+    return json.loads(out, parse_constant=_no_constant)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -40,18 +65,47 @@ def test_bending_json_ends_in_the_exact_answer_or_undecided(pair, log_lam, log_r
     lam = 10.0 ** log_lam
     argv = ["bending", "--space", space, "--focal", focal, "--lambda", repr(lam),
             "--rel-tol", repr(10.0 ** log_rel), "--abs-tol", repr(10.0 ** log_abs), "--json"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert "Traceback" not in err.getvalue()
-    if code == 3:
-        assert out.getvalue() == "" and err.getvalue().startswith("folbend: undecided: ")
+    doc = _document(*_run(argv))
+    if doc is None:
         return
-    assert (code, err.getvalue()) == (0, "")
-    doc = json.loads(out.getvalue(), parse_constant=_no_constant)
     verdict, exact, endpoint = exact_bending(space, focal)
     assert (doc["status"], doc.get("divergent_endpoint")) == (verdict, endpoint)
     if verdict == "finite":
         value, bar = doc["value_per_volume"], doc["error_estimate"]
         assert math.isfinite(bar)
         assert abs(Fraction(value) - exact * Fraction(lam)) <= Fraction(bar)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_big=st.floats(*LOG_LAM),
+       ratio=st.one_of(st.floats(0.0, 2.0, exclude_min=True),  # and narrow gaps:
+                       st.floats(-17.0, -1.0).map(lambda log_gap: 1.0 - 10.0 ** log_gap)),
+       weighted=st.booleans())
+def test_torus_json_holds_the_closed_form_or_is_undecided(log_big, ratio, weighted):
+    big = 10.0 ** log_big
+    small = big * ratio
+    argv = ["torus", "--R", repr(big), "--r", repr(small), "--json"]
+    if weighted:
+        argv.insert(-1, "--area-weighted")
+    code, out, err = _run(argv)
+    if not 0.0 < small < big:
+        assert (code, out) == (2, "") and err.startswith("folbend: ")
+        return
+    doc = _document(code, out, err)
+    if doc is not None:
+        exact = torus_reference(big, small, area_weighted=weighted)
+        assert abs(Decimal(doc["value"]) - exact) <= Decimal(doc["error_estimate"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.integers(-3, 200), log_lam=st.floats(*LOG_LAM))
+def test_complex_radial_json_is_twice_lambda(m, log_lam):
+    lam = 10.0 ** log_lam
+    code, out, err = _run(["complex-radial", "--m", str(m), "--lambda", repr(lam), "--json"])
+    if m < 2:
+        assert (code, out) == (2, "") and err.startswith("folbend: ")
+        return
+    doc = _document(code, out, err)
+    assert (doc is None) == math.isinf(4.0 * lam)
+    if doc is not None:
+        assert (doc["value_per_volume"], doc["error_estimate"]) == (2.0 * lam, 0.0)

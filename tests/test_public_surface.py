@@ -26,8 +26,8 @@ PUBLIC = {
         "jacobi_spectrum", "ricci_curvature", "scalar_curvature",
     },
     "tubes": {
-        "InitKind", "JacobiBranch", "TubeProfile", "NotComputableError", "jacobi_solution",
-        "jacobi_ode_oracle", "tube_profile", "write_profile_csv",
+        "InitKind", "JacobiBranch", "TubeProfile", "NotComputableError", "tube_profile",
+        "write_profile_csv",
     },
     "bending": {
         "BendingResult", "TorusResult", "EnergyResult", "total_bending",

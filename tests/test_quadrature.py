@@ -54,10 +54,35 @@ class TestAdaptive:
         assert abs(v1 - v2) < e1
 
     def test_undecided_when_budget_too_small(self):
-        # The panel holding a jump keeps its error above 1e-16 down to the width floor.
+        # Each of the 318 jumps needs about 45 bisections to meet the tolerance:
+        # more panels than MAX_PANELS in all.
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16)
-        with pytest.raises(UndecidedError):
-            adaptive_quadrature(lambda x: np.sign(x - 1 / math.pi), 0.0, 1.0, cfg)
+        with pytest.raises(UndecidedError, match="refinement budget"):
+            adaptive_quadrature(lambda x: np.sign(np.sin(1000.0 * x)), 0.0, 1.0, cfg)
+
+    @pytest.mark.parametrize("f", [lambda x: x ** -0.5, lambda x: (1.0 - x) ** -0.5],
+                             ids=["at a", "at b"])
+    def test_end_singularity_refines_past_the_width_floor(self, f):
+        # The panel at the singular end meets the default tolerance only about
+        # 50 bisections down: below 2**-MAX_DEPTH of the interval, above the
+        # float resolution of its edges.
+        val, err = adaptive_quadrature(f, 0.0, 1.0)
+        assert abs(val - 2.0) <= err < 1e-7
+
+    @pytest.mark.parametrize("quad", [
+        lambda f: adaptive_quadrature(f, 0.0, 1.0),
+        lambda f: reference_adaptive(f, 0.0, 1.0),
+        lambda f: ratio_quadrature(lambda x: np.stack([f(x), np.ones_like(x)]), (0.0, 1.0)),
+        lambda f: reference_ratio(lambda x: np.stack([f(x), np.ones_like(x)]), (0.0, 1.0)),
+        lambda f: integrate_open(f, 0.0, 1.0),
+        lambda f: reference_open(f, 0.0, 1.0),
+    ], ids=["adaptive", "reference adaptive", "ratio", "reference ratio", "open", "reference open"])
+    def test_spike_that_cancels_the_running_total_is_undecided(self, quad):
+        # A node lands on the 1e300 spike (true integral about 1380): bisecting
+        # away its panel, whose estimate is about 1e285, leaves a running error
+        # total of pure rounding noise.  Only a recount shows the tolerance unmet.
+        with pytest.raises(UndecidedError, match="refinement budget"):
+            quad(lambda x: 1.0 / (np.abs(x - 1.0 / math.pi) + 1e-300))
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,10 @@ from folbend.tubes import (
     InitKind,
     JacobiBranch,
     NotComputableError,
-    jacobi_ode_oracle,
-    jacobi_solution,
     tube_profile,
     write_profile_csv,
 )
-from oracles import exact_bending
+from oracles import exact_bending, jacobi_ode_oracle
 from test_bending import CATALOG as CATALOG_LABELS
 
 POINT = FocalVariety.point()
@@ -66,34 +64,32 @@ def central_derivative(func, r, h):
     return (-func(r + 2 * h) + 8 * func(r + h) - 8 * func(r - h) + func(r - 2 * h)) / (12 * h)
 
 
+def one_branch(kappa, init):
+    """A profile evaluating the single branch (kappa, 1, init) by its closed form."""
+    return replace(tube_profile(parse_space("S:2"), POINT),
+                   branches=(JacobiBranch(kappa, 1, init),))
+
+
 class TestJacobiSolution:
     def test_normal_closed_form(self):
-        f, alpha = jacobi_solution(4.0, InitKind.NORMAL)
+        prof = one_branch(4.0, InitKind.NORMAL)
         r = 0.3
-        assert f(r) == pytest.approx(math.sin(2 * r) / 2, rel=1e-15)
-        assert alpha(r) == pytest.approx(2 / math.tan(2 * r), rel=1e-14)
+        assert float(prof.theta(r)) == pytest.approx(math.sin(2 * r) / 2, rel=1e-15)
+        assert float(prof.alpha_values(r)[0]) == pytest.approx(2 / math.tan(2 * r), rel=1e-14)
 
     def test_tangent_closed_form(self):
-        f, alpha = jacobi_solution(2.0, InitKind.TANGENT)
+        prof = one_branch(2.0, InitKind.TANGENT)
         r = 0.5
         s = math.sqrt(2.0)
-        assert f(r) == pytest.approx(math.cos(s * r), rel=1e-15)
-        assert alpha(r) == pytest.approx(-s * math.tan(s * r), rel=1e-14)
+        assert float(prof.theta(r)) == pytest.approx(math.cos(s * r), rel=1e-15)
+        assert float(prof.alpha_values(r)[0]) == pytest.approx(-s * math.tan(s * r), rel=1e-14)
 
     def test_vectorized(self):
-        f, alpha = jacobi_solution(1.0, InitKind.NORMAL)
+        prof = one_branch(1.0, InitKind.NORMAL)
         r = np.array([0.1, 0.2, 0.4])
-        assert f(r).shape == (3,)
-        assert np.allclose(alpha(r), 1 / np.tan(r))
-
-    def test_negative_curvature_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_solution(-1.0, InitKind.NORMAL)
-
-    @pytest.mark.parametrize("kappa", [0.0, math.inf, math.nan])
-    def test_curvature_must_be_finite_and_positive(self, kappa):
-        with pytest.raises(ValueError, match="branch curvature"):
-            jacobi_solution(kappa, InitKind.NORMAL)
+        assert prof.theta(r).shape == (3,)
+        assert prof.alpha_values(r).shape == (1, 3)
+        assert np.allclose(prof.alpha_values(r)[0], 1 / np.tan(r))
 
 
 class TestJacobiBranch:
@@ -112,24 +108,30 @@ class TestJacobiBranch:
         # A string used to pass and evaluate as a TANGENT branch.
         with pytest.raises(ValueError, match="initial condition"):
             JacobiBranch(1.0, 1, init)
-        with pytest.raises(ValueError, match="initial condition"):
-            jacobi_solution(1.0, init)
 
 
 class TestOdeOracle:
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 4.0, 8.0])
     @pytest.mark.parametrize("init", [InitKind.NORMAL, InitKind.TANGENT])
     def test_matches_closed_form(self, kappa, init):
-        f, _ = jacobi_solution(kappa, init)
+        prof = one_branch(kappa, init)
         for r in np.linspace(0.05, 1.4, 20):
             assert jacobi_ode_oracle(kappa, init, float(r), steps=2048) == pytest.approx(
-                float(f(r)), abs=1e-9
+                float(prof.theta(r)), abs=1e-9
             )
 
+    @pytest.mark.parametrize("space,focal", CATALOG)
+    def test_branch_product_matches_theta(self, space, focal):
+        # theta is the product over the branches of f ** multiplicity.
+        prof = tube_profile(space, focal)
+        for r in np.linspace(0.1 * prof.mu, 0.9 * prof.mu, 5):
+            direct = math.prod(jacobi_ode_oracle(b.kappa, b.init, float(r), steps=2048)
+                               ** b.multiplicity for b in prof.branches)
+            assert direct == pytest.approx(float(prof.theta(r)), rel=1e-9)
+
     def test_fourth_order_convergence(self):
-        f, _ = jacobi_solution(4.0, InitKind.NORMAL)
         r = 1.1
-        exact = float(f(r))
+        exact = float(one_branch(4.0, InitKind.NORMAL).theta(r))
         e_coarse = abs(jacobi_ode_oracle(4.0, InitKind.NORMAL, r, steps=64) - exact)
         e_fine = abs(jacobi_ode_oracle(4.0, InitKind.NORMAL, r, steps=128) - exact)
         assert e_coarse / e_fine == pytest.approx(16.0, rel=0.2)
