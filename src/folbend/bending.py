@@ -27,8 +27,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .quadrature import QuadratureConfig, UndecidedError, ratio_quadrature
 from .spaces import Family, FocalVariety, ModelSpace
 from .tubes import JacobiBranch, TubeProfile, tube_profile
@@ -108,6 +106,8 @@ def _per_volume(
     """
     breaks, integrand = (0.0, prof.mu), rows
     if window is not None:
+        import numpy as np
+
         w0, w1 = window
         breaks = (0.0, w0, w1, prof.mu)
 
@@ -121,7 +121,8 @@ def _per_volume(
         if window is not None and w1 > w0:
             # Each edge is rounded in r and again in x = sqrt(lam) * r: about
             # two ulps, which move the numerator by the density there.
-            edge = np.abs(rows(np.array(window))[0])
+            with np.errstate(all="ignore"):
+                edge = np.abs(rows(np.array(window))[0])
             error += float(2.0 * (edge[0] * math.ulp(w0) + edge[1] * math.ulp(w1)) / vol)
     except ValueError as exc:  # a non-finite density value
         raise UndecidedError(f"the density of {prof.space.label} / {prof.focal.label} "

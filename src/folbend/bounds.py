@@ -34,8 +34,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bending import BendingResult, _per_volume, total_bending
 from .quadrature import QuadratureConfig, UndecidedError
 from .spaces import (
@@ -164,6 +162,8 @@ def integral_formula_check(
     prof = tube_profile(space, focal)
     lhs = ricci_curvature(space)
     status = "not-applicable" if prof.divergent_endpoint else "applicable"
+
+    import numpy as np
 
     def rows(r):  # (2 * second mean curvature * theta, theta) at the radii r
         theta = prof.theta(r)

@@ -34,8 +34,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .bending import (
     complex_radial_bending,
     epsilon_deformed_bending,
@@ -341,8 +339,7 @@ def main(argv: Optional[list] = None) -> int:
         if "lam" in vars(args):
             # An invalid scale is rejected, as a ValueError, by the space or report it builds.
             args.lam = _setting(args.lam, "FOLBEND_LAMBDA", 1.0)
-        with np.errstate(all="ignore"):  # overflow ends as UndecidedError, not as warnings
-            code, context, result, lines = args.func(args)
+        code, context, result, lines = args.func(args)
         row = {"schema_version": SCHEMA_VERSION, "command": args.command, **context,
                **_plain(result)}
         if vars(args).get("json"):

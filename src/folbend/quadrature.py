@@ -70,8 +70,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 __all__ = [
     "QuadratureConfig",
     "UndecidedError",
@@ -82,10 +80,10 @@ __all__ = [
     "integrate_open",
 ]
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (positive abscissae).
-_XGK = np.array([
+_XGK = (
     0.9914553711208126,
     0.9491079123427585,
     0.8648644233597691,
@@ -94,8 +92,8 @@ _XGK = np.array([
     0.4058451513773972,
     0.2077849550078985,
     0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224,
     0.06309209262997855,
     0.10479001032225018,
@@ -104,20 +102,21 @@ _WGK = np.array([
     0.19035057806478542,
     0.20443294007529889,
     0.20948214108472782,
-])
-_WG = np.array([
+)
+_WG = (
     0.12948496616886969,
     0.27970539148927664,
     0.3818300505051189,
     0.4179591836734694,
-])
+)
 
-# Full 15-node layout: [-x0..-x6, 0, x6..x0].
-_NODES = np.concatenate([-_XGK[:7], _XGK[7:8], _XGK[6::-1]])
-_KRONROD_W = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
-_GAUSS_W = np.zeros(15)
-_GAUSS_W[1::2] = np.concatenate([_WG, _WG[2::-1]])
-_WEIGHTS = np.stack([_KRONROD_W, _GAUSS_W])[:, None, :, None]  # (2, 1, 15, 1) for ``_reduce``
+# Full 15-node layout: [-x0..-x6, 0, x6..x0]; the Gauss weights sit on the odd nodes.
+_NODES = tuple(-x for x in _XGK[:7]) + _XGK[7:] + _XGK[6::-1]
+_KRONROD_W = _WGK[:7] + _WGK[7:] + _WGK[6::-1]
+_GAUSS_W = (0.0,) + sum(((w, 0.0) for w in _WG + _WG[2::-1]), ())
+# numpy and the rule as arrays: bound by the first ``_gk15`` call, so that a
+# process that integrates nothing never imports numpy.
+np = _NODE_ARRAY = _WEIGHTS = None
 
 
 class UndecidedError(RuntimeError):
@@ -134,7 +133,7 @@ DIVERGENCE_WINDOW = 1e-2
 ENDPOINT_SHRINK = 0.5
 ENDPOINT_LEVELS = 48
 # Relative panel bounds of the ladder: level k spans shrink**(k+1)..shrink**k.
-_LADDER = ENDPOINT_SHRINK ** np.arange(ENDPOINT_LEVELS + 1.0)
+_LADDER = tuple(ENDPOINT_SHRINK ** k for k in range(ENDPOINT_LEVELS + 1))
 # Panel-sum ratios are fitted on this band of ladder levels; outside it
 # the asymptotics have not set in yet (low k) or floating-point
 # cancellation in the node positions pollutes the samples (high k).
@@ -166,10 +165,15 @@ def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list, li
     docstring).  A panel with a non-finite value in any row gets the integral
     None, for which the caller raises ``_not_finite`` if it uses the panel.
     """
+    global np, _NODE_ARRAY, _WEIGHTS
+    if np is None:
+        import numpy as np
+        _NODE_ARRAY = np.array(_NODES)
+        _WEIGHTS = np.array([_KRONROD_W, _GAUSS_W])[:, None, :, None]  # (2, 1, 15, 1) for ``_reduce``
     lo = np.asarray(a, dtype=float)
     hi = np.asarray(b, dtype=float)
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODE_ARRAY
     with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is sorted out below
         y = np.asarray(f(x.reshape(-1)), dtype=float)
         if y.shape not in ((x.size,), (2, x.size)):
@@ -383,7 +387,7 @@ def _ladder(start: float, direction: int, window: float) -> tuple[list[float], l
     """Bounds (lows, highs) of the panels shrinking toward ``start`` in (start,
     start+window] (direction +1) or [start-window, start) (-1), outermost first,
     up to the first level within the floating-point width floor."""
-    edges = (start + direction * window * _LADDER).tolist()
+    edges = [start + direction * window * shrink for shrink in _LADDER]
     floor = 8.0 * _EPS * max(abs(start), abs(start + direction * window), 1.0)
     levels = next((k for k in range(ENDPOINT_LEVELS) if abs(edges[k] - edges[k + 1]) <= floor),
                   ENDPOINT_LEVELS)

@@ -33,8 +33,6 @@ from functools import reduce
 from itertools import combinations
 from typing import Optional
 
-import numpy as np
-
 from .quadrature import UndecidedError
 from .spaces import Family, FocalVariety, ModelSpace
 
@@ -75,6 +73,10 @@ class NotComputableError(ValueError):
     spectral information this catalog quotes."""
 
 
+# numpy, bound by the first evaluation of a profile (``TubeProfile._x``): the
+# commands that evaluate none never import it.
+np = None
+
 # Closed-form solutions (f, alpha = f'/f) of f'' + root**2 * f = 0 (root > 0)
 # at x = root*r, by initial condition.
 _CLOSED_FORMS = {
@@ -99,7 +101,8 @@ class TubeProfile:
     boundary leaf is a regular smooth leaf rather than a focal set (the
     antipodal cross-section of RP^m around a point); that case is marked by
     ``boundary_leaf_regular``.  Every branch has kappa > 0; the branches
-    are evaluated as the rows of arrays derived from ``branches``.
+    are evaluated as the rows of arrays derived from ``branches``, built by
+    the first evaluation.
     """
 
     space: ModelSpace
@@ -117,15 +120,6 @@ class TubeProfile:
     _mult: np.ndarray = field(init=False, repr=False, compare=False)
     _forms: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        column = (len(self.branches), 1)
-        for name, values in (
-            ("_root", [math.sqrt(b.kappa) for b in self.branches]),
-            ("_mult", [float(b.multiplicity) for b in self.branches]),
-        ):
-            object.__setattr__(self, name, np.array(values).reshape(column))
-        object.__setattr__(self, "_forms", tuple(_CLOSED_FORMS[b.init] for b in self.branches))
-
     @property
     def boundary_leaf_regular(self) -> bool:
         return self.orders[1] == 0
@@ -140,6 +134,8 @@ class TubeProfile:
 
     def _x(self, r) -> tuple[tuple, np.ndarray]:
         """Shape of r, and sqrt(kappa)*r per branch at the flattened radii."""
+        if "_root" not in self.__dict__:
+            _columns(self)
         r = np.asarray(r, dtype=float)
         return r.shape, self._root * r.reshape(-1)
 
@@ -194,8 +190,23 @@ class TubeProfile:
         """Interior sample table: columns r, alpha per branch, theta."""
         if count < 2:
             raise ValueError("need at least two sample points")
-        r = np.linspace(0.0, self.mu, count + 2)[1:-1]
-        return np.column_stack([r, *self.alpha_values(r), self.theta(r)])
+        _columns(self)
+        with np.errstate(all="ignore"):  # an overflowing density is written as inf
+            r = np.linspace(0.0, self.mu, count + 2)[1:-1]
+            return np.column_stack([r, *self.alpha_values(r), self.theta(r)])
+
+
+def _columns(prof: TubeProfile) -> None:
+    """Import numpy if no profile has yet, and (re)build the branch columns of ``prof``."""
+    global np
+    import numpy as np
+    column = (len(prof.branches), 1)
+    for name, values in (
+        ("_root", [math.sqrt(b.kappa) for b in prof.branches]),
+        ("_mult", [float(b.multiplicity) for b in prof.branches]),
+    ):
+        object.__setattr__(prof, name, np.array(values).reshape(column))
+    object.__setattr__(prof, "_forms", tuple(_CLOSED_FORMS[b.init] for b in prof.branches))
 
 
 def _build(space, focal, branch_data, turns, area_constant=None) -> TubeProfile:

@@ -70,7 +70,7 @@ def kronrod_panel(f, a, b):
     integrand gives floats, a k-row one k-tuples."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    y = np.asarray(f(center + half * quadrature._NODES), dtype=float)
+    y = np.asarray(f(center + half * np.array(quadrature._NODES)), dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError(f"integrand returned a non-finite value inside [{a}, {b}]")
     if y.ndim == 1:
@@ -239,11 +239,16 @@ def catalog_labels(max_dim=200, every_p_to=24):
     yield "CaP2", "point"
 
 
+def _family(space):
+    """(family, m, n, nu) of a space label."""
+    family, m = ("CaP", 2) if space == "CaP2" else (space.split(":")[0], int(space.split(":")[1]))
+    return family, m, _DIM_FACTOR[family] * m, _NU[family]
+
+
 def catalog_branches(space, focal):
     """(kind, multiplicity) of the branches of a catalog pair given by its
     labels; None for the two pairs whose tube data is not computable."""
-    family, m = ("CaP", 2) if space == "CaP2" else (space.split(":")[0], int(space.split(":")[1]))
-    nu, n = _NU[family], _DIM_FACTOR[family] * m
+    family, m, n, nu = _family(space)
     if focal == "point":
         data = [("N", n - 1 - nu), ("N4", nu)]
     else:
@@ -317,3 +322,20 @@ def label_reading(label, n, q):
     if q <= n - 2 and (q < 2 or n - q <= q):
         return "III-"
     return "III+"
+
+
+def exact_bounds(space, q, case):
+    """(n, coefficient, einstein) of ``bounds --space space --q q --case case``:
+    the coefficient of q (n - q) lam, and the case-I coefficient 1/(2(n - 2))
+    times Ric / lam = n - 1 + 3 nu, as Fractions.  The coefficient is None where
+    the command must exit 2: n < 3, q outside [1, n - 1], or no reading of the
+    case holds.  Of the readings that hold, the largest coefficient counts."""
+    _, _, n, nu = _family(space)
+    if n < 3:
+        return n, None, None
+    readings = {"I'": [(q == n - 1, 2 * (n - 2))], "II": [(2 * q == n, n - 2)],
+                "III-": [(q <= n - 2, 2 * (n - q - 1))], "III+": [(q >= 2, 2 * (q - 1))]}
+    readings["I"] = [(q == 1, 2 * (n - 2))] + readings["I'"]
+    readings["III"] = readings["III-"] + readings["III+"]
+    held = [Fraction(1, d) for holds, d in readings[case] if holds and 1 <= q <= n - 1]
+    return n, max(held, default=None), Fraction(n - 1 + 3 * nu, 2 * (n - 2))

@@ -33,6 +33,25 @@ def test_checkout_against_itself(workload):
     assert result["p99_ms_change_over_base"] == result["change"]["p99_ms"] / result["base"]["p99_ms"]
 
 
+def test_cli_sessions_reports_child_cpu_by_command():
+    # Eight requests are one full command deck: each subcommand runs once per side.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "cli_sessions", str(ROOT), str(ROOT),
+         "--seeds", "1", "--requests", "8"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    (result,) = json.loads(lines[-1])
+    assert result["identical_answers"] is True
+    commands = {"table1", "check-integral", "bending", "minimizer", "complex-radial", "torus",
+                "bounds", "selfcheck"}
+    for side in ("base", "change"):
+        by_command = result[side]["cpu_ms_by_command"]
+        assert set(by_command) == commands and all(ms > 0 for ms in by_command.values())
+    assert lines[1].startswith("  median child cpu_ms by command: bending ")
+
+
 def test_a_reader_that_closes_early_ends_the_run_quietly():
     # As in ``tools/ab.py ... | head -1``: the pipe closes after the first
     # seed's line, so a later line cannot be written.

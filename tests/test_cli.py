@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, environment knobs."""
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -435,12 +436,19 @@ def _imported_modules(argv):
             if line.startswith("import time:")}
 
 
+def _python(code):
+    """Standard output of a child Python that runs ``code``."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True).stdout
+
+
 class TestEntryPoint:
+    # The entry point loads no numpy itself; the child imports it, as an integrating command does.
     def test_cli_runs_blas_on_one_thread(self, blas_pool):
-        assert _child("import folbend.__main__") == (1, "1")
+        assert _child("import folbend.__main__, numpy") == (1, "1")
 
     def test_callers_thread_setting_wins(self, blas_pool):
-        threads, setting = _child("import folbend.__main__", OPENBLAS_NUM_THREADS="2")
+        threads, setting = _child("import folbend.__main__, numpy", OPENBLAS_NUM_THREADS="2")
         assert setting == "2" and threads > 1
 
     def test_library_leaves_the_thread_setting_alone(self):
@@ -450,6 +458,38 @@ class TestEntryPoint:
         for argv in (["bending", "--space", "S:3", "--json"], ["table1", "--json"]):
             assert "folbend.torsion" not in _imported_modules(argv)
         assert "folbend.torsion" in _imported_modules(["selfcheck"])
+
+    def test_numpy_is_imported_only_by_the_commands_that_integrate(self):
+        for argv in (["torus", "--R", "2", "--r", "1"], ["complex-radial", "--m", "3"],
+                     ["bounds", "--space", "S:5", "--q", "2", "--case", "III"]):
+            assert "numpy" not in _imported_modules(argv)
+        for argv in (["table1", "--json"], ["bending", "--space", "S:3", "--epsilon", "0.5"]):
+            assert "numpy" in _imported_modules(argv)
+
+    def test_library_import_loads_no_numpy(self):
+        assert _python("import sys, folbend.cli; print('numpy' in sys.modules)") == "False\n"
+
+    def test_library_and_in_process_main_leave_the_collector_alone(self, capsys):
+        assert _python("import gc, folbend.__main__; print(gc.isenabled())") == "True\n"
+        assert run_main(["torus", "--R", "2", "--r", "1"], capsys)[0] == 0
+        assert gc.isenabled()
+
+    def test_entry_point_runs_without_collections_and_freezes(self):
+        out = _python("import gc, sys; from folbend.__main__ import main; "
+                      "sys.argv = ['folbend', 'complex-radial', '--m', '3']; code = main(); "
+                      "print(code, gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert out.splitlines()[-1] == "0 False True"
+
+    @pytest.mark.parametrize("flag, value", [("--emit-profile", "p.csv"), ("--epsilon", "0.5")])
+    def test_overflow_leaks_no_runtime_warning(self, flag, value, tmp_path):
+        if flag == "--emit-profile":
+            value = str(tmp_path / value)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "folbend", "bending",
+             "--space", "S:200", "--lambda", "1e-5", flag, value, "--json"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("folbend: undecided: ") and proc.stderr.count("\n") == 1
 
 
 BENDING_KEYS = {"branches", "divergent_endpoint", "error_estimate", "exponent_estimate",

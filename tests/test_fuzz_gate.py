@@ -14,11 +14,18 @@ exit 2 exactly when 0 < r < R fails, and otherwise in exit 0 with a bar that
 contains ``oracles.torus_reference`` or in exit 3.  ``complex-radial --json``
 ends in exit 2 exactly when m < 2, in exit 3 exactly where 4 lam overflows,
 and otherwise in B/Vol == 2 lam with the bar 0.0.
+
+``bounds --json``: catalog spaces up to dimension 200, q in [-2, n + 1], every
+case label and a curvature scale over the whole float range end in exit 2
+exactly when ``oracles.exact_bounds`` finds no bound, and otherwise in exit 0
+with both bounds within 4 ulps of their exact values, or in exit 3 only where
+one of those, widened by 4 ulps, leaves the normal float range.
 """
 import contextlib
 import io
 import json
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,9 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folbend import cli
-from oracles import catalog_labels, exact_bending, torus_reference
+from oracles import catalog_labels, exact_bending, exact_bounds, torus_reference
 
 PAIRS = list(catalog_labels())
+SPACES = list(dict.fromkeys(space for space, _ in PAIRS))
 # log10 of the smallest and largest floats that 10.0 ** x reaches.
 LOG_LAM = (-323.3, 308.25)
 
@@ -109,3 +117,33 @@ def test_complex_radial_json_is_twice_lambda(m, log_lam):
     assert (doc is None) == math.isinf(4.0 * lam)
     if doc is not None:
         assert (doc["value_per_volume"], doc["error_estimate"]) == (2.0 * lam, 0.0)
+
+
+def _normal(exact):
+    """Whether a positive exact value lies 4 ulps inside the normal float range."""
+    margin = 1 - 8 * Fraction(sys.float_info.epsilon)
+    low, high = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+    return low <= margin * exact and exact <= margin * high
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(space=st.sampled_from(SPACES), case=st.sampled_from(["I", "II", "III", "I'", "III-", "III+"]),
+       log_lam=st.floats(*LOG_LAM), data=st.data())
+def test_bounds_json_is_the_exact_bound_or_undecided(space, case, log_lam, data):
+    n = exact_bounds(space, 1, case)[0]
+    q = data.draw(st.integers(-2, n + 1), label="q")
+    lam = 10.0 ** log_lam
+    code, out, err = _run(["bounds", "--space", space, "--q", str(q), "--case", case,
+                           "--lambda", repr(lam), "--json"])
+    _, coefficient, einstein = exact_bounds(space, q, case)
+    if coefficient is None:
+        assert (code, out) == (2, "") and err.startswith("folbend: ")
+        return
+    exact = (coefficient * q * (n - q) * Fraction(lam), einstein * Fraction(lam))
+    doc = _document(code, out, err)
+    if doc is None:
+        assert not all(map(_normal, exact))
+        return
+    assert Fraction(doc["coefficient"]) == coefficient
+    for value, want in zip((doc["value"], doc["einstein_value"]), exact):
+        assert abs(Fraction(value) - want) <= 4 * Fraction(math.ulp(value))

@@ -21,7 +21,9 @@ untimed pass, the integrand calls and nodes per operation.
 ``cli_sessions`` runs one fresh ``python -m folbend`` process of the side's
 checkout per request.  Per side it prints the median wall
 time and the mean CPU time of the child process (user plus system, from
-``getrusage(RUSAGE_CHILDREN)``) per operation.
+``getrusage(RUSAGE_CHILDREN)``) per operation, and on a second line the
+median child CPU time per subcommand (``cpu_ms_by_command``), which shows
+which commands a change moved.
 
 Every answer of both sides is judged with the workload's ``judge``, and
 each side's failure causes are printed.  The tool also reports whether
@@ -149,6 +151,11 @@ def compare(workload: str, sides: tuple, seed: int, n: int) -> dict:
         side = {"p50_ms": 1e3 * statistics.median(run["wall"])}
         if workload == "cli_sessions":
             side["cpu_ms_per_op"] = 1e3 * statistics.fmean(run["cpu"])
+            by_command = collections.defaultdict(list)
+            for req, cpu in zip(requests, run["cpu"]):
+                by_command[req.kind].append(cpu)
+            side["cpu_ms_by_command"] = {command: 1e3 * statistics.median(cpus)
+                                         for command, cpus in sorted(by_command.items())}
         else:
             side["mean_ms"] = 1e3 * statistics.fmean(run["wall"])
             side["p99_ms"] = 1e3 * _nearest_rank(run["wall"], 0.99)
@@ -164,10 +171,15 @@ def compare(workload: str, sides: tuple, seed: int, n: int) -> dict:
 def _line(res: dict) -> str:
     b, c = res["base"], res["change"]
     parts = [f"{key} {b[key]:.4g} -> {c[key]:.4g} ({res[f'{key}_change_over_base']:.3f}x)"
-             for key in b if key != "causes"]
-    return (f"{res['workload']} seed {res['seed']}: " + ", ".join(parts)
+             for key in b if key not in ("causes", "cpu_ms_by_command")]
+    line = (f"{res['workload']} seed {res['seed']}: " + ", ".join(parts)
             + f", identical answers: {res['identical_answers']}, causes "
             f"{b['causes'] or 'none'} -> {c['causes'] or 'none'}")
+    if "cpu_ms_by_command" in b:
+        line += "\n  median child cpu_ms by command: " + ", ".join(
+            f"{command} {ms:.4g} -> {c['cpu_ms_by_command'][command]:.4g}"
+            for command, ms in b["cpu_ms_by_command"].items())
+    return line
 
 
 def main(argv=None) -> int:
