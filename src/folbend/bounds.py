@@ -163,13 +163,7 @@ def integral_formula_check(
     lhs = ricci_curvature(space)
     status = "not-applicable" if prof.divergent_endpoint else "applicable"
 
-    import numpy as np
-
-    def rows(r):  # (2 * second mean curvature * theta, theta) at the radii r
-        theta = prof.theta(r)
-        return np.array((2.0 * prof.second_mean_curvature(r) * theta, theta))
-
-    rhs = _per_volume(prof, rows, quad).value_per_volume
+    rhs = _per_volume(prof, prof.identity_rows, quad).value_per_volume
     gap = None if rhs is None else abs(lhs - rhs) / abs(lhs)
     return IntegralCheckResult(
         space=space.label, focal=focal.label,

@@ -224,6 +224,8 @@ def _cmd_minimizer(args):
 
 
 def _cmd_selfcheck(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     from .torsion import SplitDims, mu_identity_residual, random_coefficients
 
     # Table 1 and the default identity survey at lam = 1, through the library's own paths.

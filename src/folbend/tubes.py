@@ -12,8 +12,10 @@ From the branch solutions we get the leaves' principal curvature functions
 alpha = f'/f and the volume density theta = prod f**mult, defined up to a
 constant factor (supplied explicitly only where the leaves are full
 geodesic spheres, so that absolute volumes make sense).  ``TubeProfile``
-is the one evaluator of the branches' closed forms; ``tube_profile`` builds
-it for a cataloged pair.
+is the one evaluator of the branches' closed forms: each evaluation loops
+once over the branches, in order, for (multiplicity, f, alpha) at the
+radii, and folds that list into theta, the curvature sums or the two-row
+integrands.  ``tube_profile`` builds a profile for a cataloged pair.
 
 The catalog covers exactly the pairs whose curvature data is available:
 points in all five families, totally geodesic S^k in S^m (likewise RP),
@@ -27,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import combinations
@@ -73,16 +75,9 @@ class NotComputableError(ValueError):
     spectral information this catalog quotes."""
 
 
-# numpy, bound by the first evaluation of a profile (``TubeProfile._x``): the
-# commands that evaluate none never import it.
+# numpy, bound by the first evaluation of a profile (``TubeProfile._rows`` or
+# ``samples``): the commands that evaluate none never import it.
 np = None
-
-# Closed-form solutions (f, alpha = f'/f) of f'' + root**2 * f = 0 (root > 0)
-# at x = root*r, by initial condition.
-_CLOSED_FORMS = {
-    InitKind.NORMAL: (lambda root, x: np.sin(x) / root, lambda root, x: root / np.tan(x)),
-    InitKind.TANGENT: (lambda root, x: np.cos(x), lambda root, x: -root * np.tan(x)),
-}
 
 
 def _unit_sphere_area(n: int) -> Optional[float]:
@@ -100,9 +95,8 @@ class TubeProfile:
     ``theta(mu)`` vanishes except in the one cataloged case where the
     boundary leaf is a regular smooth leaf rather than a focal set (the
     antipodal cross-section of RP^m around a point); that case is marked by
-    ``boundary_leaf_regular``.  Every branch has kappa > 0; the branches
-    are evaluated as the rows of arrays derived from ``branches``, built by
-    the first evaluation.
+    ``boundary_leaf_regular``.  Every branch has kappa > 0.  Each evaluation
+    runs ``_rows`` once, a loop over ``branches``, and folds its rows.
     """
 
     space: ModelSpace
@@ -114,11 +108,6 @@ class TubeProfile:
     # There theta ~ d**Z and sum m alpha**2 ~ d**-2 (Z >= 1), so the bending
     # integral diverges, logarithmically, exactly at an end with Z = 1.
     orders: tuple[int, int]
-    # One row per branch, as columns that broadcast against the radii, and
-    # each branch's closed forms.
-    _root: np.ndarray = field(init=False, repr=False, compare=False)
-    _mult: np.ndarray = field(init=False, repr=False, compare=False)
-    _forms: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def boundary_leaf_regular(self) -> bool:
@@ -132,81 +121,91 @@ class TubeProfile:
             return "both" if z_mu == 1 else "0"
         return "mu" if z_mu == 1 else None
 
-    def _x(self, r) -> tuple[tuple, np.ndarray]:
-        """Shape of r, and sqrt(kappa)*r per branch at the flattened radii."""
-        if "_root" not in self.__dict__:
-            _columns(self)
+    def _rows(self, r) -> tuple[tuple, list]:
+        """Shape of r, and (multiplicity, f, alpha) per branch at the flattened
+        radii, by the closed forms of f'' + kappa*f = 0 at x = sqrt(kappa)*r."""
+        global np
+        if np is None:
+            import numpy as np
         r = np.asarray(r, dtype=float)
-        return r.shape, self._root * r.reshape(-1)
-
-    def _branch(self, x, which: int) -> np.ndarray:
-        """f (which 0) or alpha (1) per branch at x, each row by its own closed form."""
-        return np.array([forms[which](root, row)
-                         for forms, root, row in zip(self._forms, self._root, x)])
-
-    # Row by row in branch order: cheaper than a numpy axis reduction over so
-    # few rows, and rounded exactly like a loop over the branches.  The powers
-    # stay one stacked ``** self._mult``: a row raised to a scalar multiplicity
-    # of 2 would take numpy's square path, which rounds some values otherwise.
-    def _theta(self, x):
-        return reduce(np.multiply, self._branch(x, 0) ** self._mult)
-
-    def _sums(self, x, power):
-        return reduce(np.add, self._mult * self._branch(x, 1) ** power)
+        rows = []
+        for branch in self.branches:
+            root = math.sqrt(branch.kappa)
+            x = root * r.reshape(-1)
+            if branch.init is InitKind.NORMAL:
+                f, alpha = np.sin(x) / root, root / np.tan(x)
+            else:
+                f, alpha = np.cos(x), -root * np.tan(x)
+            rows.append((float(branch.multiplicity), f, alpha))
+        return r.shape, rows
 
     def theta(self, r):
         """Volume density (up to the constant factor) at tube radius r."""
-        shape, x = self._x(r)
-        return self._theta(x).reshape(shape)
+        shape, rows = self._rows(r)
+        return _theta(rows).reshape(shape)
 
     def alpha_values(self, r) -> np.ndarray:
         """Per-branch principal curvature values at tube radius r (one row each)."""
-        shape, x = self._x(r)
-        return self._branch(x, 1).reshape((len(self.branches),) + shape)
+        shape, rows = self._rows(r)
+        return np.array([alpha for _, _, alpha in rows]).reshape((len(rows),) + shape)
 
     def sum_alpha(self, r):
         """Multiplicity-weighted sum of principal curvatures (mean curvature)."""
-        shape, x = self._x(r)
-        return self._sums(x, 1).reshape(shape)
+        shape, rows = self._rows(r)
+        return _sum(rows, 1).reshape(shape)
 
     def bending_rows(self, r) -> np.ndarray:
         """Rows (bending density, theta) at the flattened radii r, from one evaluation."""
-        _, x = self._x(r)
-        theta = self._theta(x)
-        return np.array((0.5 * self._sums(x, 2) * theta, theta))
+        _, rows = self._rows(r)
+        theta = _theta(rows)
+        return np.array((0.5 * _sum(rows, 2) * theta, theta))
 
     def second_mean_curvature(self, r):
         """Sum of pairwise products of principal curvatures (with multiplicity),
         pair by pair: 0.5 ((sum m alpha)**2 - sum m alpha**2) cancels d**-2 terms."""
-        shape, x = self._x(r)
-        alpha = self._branch(x, 1)
-        weighted = self._mult * alpha
-        total = 0.5 * reduce(np.add, (self._mult - 1.0) * alpha * weighted)
-        for a, b in combinations(range(len(self.branches)), 2):
-            total = total + weighted[a] * weighted[b]
-        return total.reshape(shape)
+        shape, rows = self._rows(r)
+        return _sigma_2(rows).reshape(shape)
+
+    def identity_rows(self, r) -> np.ndarray:
+        """Rows (2 * second mean curvature * theta, theta) at the flattened radii r,
+        from one evaluation."""
+        _, rows = self._rows(r)
+        theta = _theta(rows)
+        return np.array((2.0 * _sigma_2(rows) * theta, theta))
 
     def samples(self, count: int = 200) -> np.ndarray:
         """Interior sample table: columns r, alpha per branch, theta."""
+        global np
         if count < 2:
             raise ValueError("need at least two sample points")
-        _columns(self)
+        import numpy as np
         with np.errstate(all="ignore"):  # an overflowing density is written as inf
             r = np.linspace(0.0, self.mu, count + 2)[1:-1]
-            return np.column_stack([r, *self.alpha_values(r), self.theta(r)])
+            _, rows = self._rows(r)
+            return np.column_stack([r, *(alpha for _, _, alpha in rows), _theta(rows)])
 
 
-def _columns(prof: TubeProfile) -> None:
-    """Import numpy if no profile has yet, and (re)build the branch columns of ``prof``."""
-    global np
-    import numpy as np
-    column = (len(prof.branches), 1)
-    for name, values in (
-        ("_root", [math.sqrt(b.kappa) for b in prof.branches]),
-        ("_mult", [float(b.multiplicity) for b in prof.branches]),
-    ):
-        object.__setattr__(prof, name, np.array(values).reshape(column))
-    object.__setattr__(prof, "_forms", tuple(_CLOSED_FORMS[b.init] for b in prof.branches))
+# The folds over the rows of ``TubeProfile._rows``, one row at a time in branch
+# order: cheaper than a numpy axis reduction over so few rows.  theta raises the
+# stacked f rows to the column of multiplicities in one power: a row raised to a
+# scalar multiplicity of 2 would take numpy's square path, which rounds some
+# values otherwise.
+def _theta(rows):
+    powers = np.array([f for _, f, _ in rows]) ** np.array([[mult] for mult, _, _ in rows])
+    return reduce(np.multiply, powers)
+
+
+def _sum(rows, power):
+    return reduce(np.add, [mult * alpha ** power for mult, _, alpha in rows])
+
+
+def _sigma_2(rows):
+    weighted = [mult * alpha for mult, _, alpha in rows]
+    total = 0.5 * reduce(np.add, [(mult - 1.0) * alpha * w
+                                  for (mult, _, alpha), w in zip(rows, weighted)])
+    for a, b in combinations(weighted, 2):
+        total = total + a * b
+    return total
 
 
 def _build(space, focal, branch_data, turns, area_constant=None) -> TubeProfile:

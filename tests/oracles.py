@@ -245,6 +245,12 @@ def _family(space):
     return family, m, _DIM_FACTOR[family] * m, _NU[family]
 
 
+def ricci_per_lam(space):
+    """Ric(u, u) / lam = n - 1 + 3 nu of a space label, the same for every unit direction."""
+    _, _, n, nu = _family(space)
+    return n - 1 + 3 * nu
+
+
 def catalog_branches(space, focal):
     """(kind, multiplicity) of the branches of a catalog pair given by its
     labels; None for the two pairs whose tube data is not computable."""

@@ -342,6 +342,15 @@ class TestOtherCommands:
         assert code == 0
         assert "all internal checks passed" in out
 
+    def test_selfcheck_rejects_a_negative_seed_before_computing(self, capsys, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("selfcheck computed before checking --seed")
+
+        monkeypatch.setattr(cli, "table1_report", computed)
+        code, out, err = run_main(["selfcheck", "--seed", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("folbend: ") and "--seed" in err
+
     def test_selfcheck_reports_a_row_that_fails(self, capsys, monkeypatch):
         rows = tuple((space, focal, Fraction(7) if (space, focal) == ("S:3", "point") else form)
                      for space, focal, form in bounds.DEFAULT_TABLE_ROWS)

@@ -20,6 +20,13 @@ case label and a curvature scale over the whole float range end in exit 2
 exactly when ``oracles.exact_bounds`` finds no bound, and otherwise in exit 0
 with both bounds within 4 ulps of their exact values, or in exit 3 only where
 one of those, widened by 4 ulps, leaves the normal float range.
+
+``table1 --json`` and ``check-integral --json`` (one catalog pair up to
+dimension 200) at a curvature scale over the whole float range end in exit 3,
+or in exit 0 with every table row reproduced and every applicable identity row
+holding, and with each Ricci side within 4 ulps of (n - 1 + 3 nu) * lam.
+Exit 1 (a row or the identity fails) is never allowed.  Exit 3 is common at
+both ends of the range until the catalog answers are exact.
 """
 import contextlib
 import io
@@ -33,7 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folbend import cli
-from oracles import catalog_labels, exact_bending, exact_bounds, torus_reference
+from oracles import catalog_labels, exact_bending, exact_bounds, ricci_per_lam, torus_reference
 
 PAIRS = list(catalog_labels())
 SPACES = list(dict.fromkeys(space for space, _ in PAIRS))
@@ -147,3 +154,29 @@ def test_bounds_json_is_the_exact_bound_or_undecided(space, case, log_lam, data)
     assert Fraction(doc["coefficient"]) == coefficient
     for value, want in zip((doc["value"], doc["einstein_value"]), exact):
         assert abs(Fraction(value) - want) <= 4 * Fraction(math.ulp(value))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_lam=st.floats(*LOG_LAM))
+def test_table1_json_reproduces_every_row_or_is_undecided(log_lam):
+    doc = _document(*_run(["table1", "--lambda", repr(10.0 ** log_lam), "--json"]))
+    if doc is not None:
+        assert doc["all_ok"] is True
+        assert all(row["status"] != "Failed" for row in doc["rows"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(PAIRS), log_lam=st.floats(*LOG_LAM))
+def test_check_integral_json_holds_or_is_undecided(pair, log_lam):
+    space, focal = pair
+    lam = 10.0 ** log_lam
+    doc = _document(*_run(["check-integral", "--space", space, "--focal", focal,
+                           "--lambda", repr(lam), "--json"]))
+    if doc is None or doc.get("status") == "not-computable":
+        return
+    (row,) = doc["results"]
+    assert row["status"] == ("applicable" if exact_bending(space, focal)[0] == "finite"
+                             else "not-applicable")
+    assert row["holds"] or row["status"] == "not-applicable"
+    exact = ricci_per_lam(space) * Fraction(lam)
+    assert abs(Fraction(row["lhs"]) - exact) <= 4 * Fraction(math.ulp(row["lhs"]))

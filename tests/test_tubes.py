@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 from functools import reduce
@@ -11,6 +12,7 @@ from folbend.tubes import (
     InitKind,
     JacobiBranch,
     NotComputableError,
+    TubeProfile,
     tube_profile,
     write_profile_csv,
 )
@@ -317,6 +319,24 @@ class TestCatalog:
         assert rows.shape == (2, r.size)
         assert np.array_equal(rows[0], 0.5 * sum_alpha_sq(prof, r) * prof.theta(r))
         assert np.array_equal(rows[1], prof.theta(r))
+
+    @pytest.mark.parametrize("space,focal", CATALOG)
+    def test_identity_rows_are_twice_sigma_2_theta_and_theta(self, space, focal):
+        prof = tube_profile(space, focal)
+        r = np.linspace(0.0, prof.mu, 37)[1:-1]
+        theta = prof.theta(r)
+        assert np.array_equal(prof.identity_rows(r),
+                              (2.0 * prof.second_mean_curvature(r) * theta, theta))
+
+    def test_no_hidden_state(self):
+        # A profile is its six constructor fields; evaluating it stores nothing on it.
+        names = [f.name for f in dataclasses.fields(TubeProfile)]
+        assert names == ["space", "focal", "branches", "mu", "area_constant", "orders"]
+        prof = tube_profile(parse_space("CP:3"), parse_focal("sub:CP:1"))
+        before = dict(vars(prof))
+        r = np.linspace(0.1, 1.4, 7)
+        prof.theta(r), prof.bending_rows(r), prof.identity_rows(r), prof.samples(10)
+        assert vars(prof) == before
 
     @pytest.mark.parametrize("space,focal", CATALOG)
     def test_second_mean_curvature_is_the_pairwise_sum(self, space, focal):
