@@ -9,9 +9,9 @@ of multiplicity m_a and density theta,
 
 with the same (usually symbolic) constant c in both, so the ratio B/Vol is
 always well defined; absolute values are reported only where the catalog
-pins c (geodesic spheres around points of S^m and RP^m, as long as c is a
-normal float).  The energy of the orthogonal unit vector field is
-E = (n/2) Vol + B.
+pins c (geodesic spheres around points of S^m and RP^m), as long as c and
+Vol are normal floats and B is one or 0.  The energy of the orthogonal unit
+vector field is E = (n/2) Vol + B.
 
 Divergence of the bending integral at either end of (0, mu) is decided
 by the exact endpoint orders of the tube profile and reported as a
@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .quadrature import QuadratureConfig, UndecidedError, ratio_quadrature
+from .quadrature import QuadratureConfig, UndecidedError, _finite, ratio_quadrature
 from .spaces import Family, FocalVariety, ModelSpace
 from .tubes import JacobiBranch, TubeProfile, tube_profile
 
@@ -100,9 +100,10 @@ def _per_volume(
     ``rows`` gives the density and theta at radii r, integrated over (0, mu)
     on shared panels.  Outside a ``window`` the density is zero; its edges
     are breakpoints, so every panel is smooth even where the density
-    diverges at an end.  A density that overflows, or a volume or a nonzero
-    ratio that is not a normal float, raises UndecidedError: on the subnormal
-    grid the density and the ratio round past their error estimate.
+    diverges at an end.  A density that overflows, a bar that is not finite
+    with the window's edge term, or a volume or a nonzero ratio that is not a
+    normal float raises UndecidedError: on the subnormal grid the density and
+    the ratio round past their error estimate.
     """
     breaks, integrand = (0.0, prof.mu), rows
     if window is not None:
@@ -124,16 +125,17 @@ def _per_volume(
             with np.errstate(all="ignore"):
                 edge = np.abs(rows(np.array(window))[0])
             error += float(2.0 * (edge[0] * math.ulp(w0) + edge[1] * math.ulp(w1)) / vol)
+            ratio, error = _finite(ratio, error, 0.0, prof.mu)
     except ValueError as exc:  # a non-finite density value
         raise UndecidedError(f"the density of {prof.space.label} / {prof.focal.label} "
                              f"overflows at this curvature scale: {exc}") from exc
     if ratio and not _normal(abs(ratio)):
         raise UndecidedError(f"the ratio {ratio!r} of {prof.space.label} / {prof.focal.label} "
                              "falls below the normal float range")
+    c = prof.area_constant
     absolute = volume = None
-    if prof.area_constant is not None:
-        absolute = prof.area_constant * val
-        volume = prof.area_constant * vol
+    if c is not None and _normal(c * vol) and (val == 0.0 or _normal(abs(c * val))):
+        absolute, volume = c * val, c * vol
     return BendingResult(
         status="finite",
         value_per_volume=ratio,

@@ -98,12 +98,12 @@ def _reading(case, n: int, q: int) -> tuple[BoundCase, Fraction]:
     return max(held, key=lambda pair: pair[1])
 
 
-def _finite(value: float, space: ModelSpace) -> float:
+def _finite(value: float, space: ModelSpace, what: str = "bound") -> float:
     # Below the normal range rounding is coarse enough to print a lower bound
     # above the exact one (5/8 * 5e-324 prints as 5e-324), so that is undecided too.
     if not sys.float_info.min <= value < math.inf:
         where = "exceeds the" if value > 1 else "falls below the normal"
-        raise UndecidedError(f"the bound on {space.label} {where} float range "
+        raise UndecidedError(f"the {what} on {space.label} {where} float range "
                              f"at lam = {space.lam!r}")
     return value
 
@@ -135,7 +135,7 @@ def einstein_lower_bound(space: ModelSpace) -> float:
     ``lower_bound`` with the bare q*(n-q)*lam product; on constant
     curvature the two coincide.
     """
-    ric = space.dim - 1 + 3 * space.invariant_count
+    ric = Fraction(ricci_curvature(ModelSpace(space.family, space.m)))  # Ric / lam, exactly
     return _finite(float(_reading(BoundCase.I_Q1, space.dim, 1)[1] * ric) * space.lam, space)
 
 
@@ -158,9 +158,10 @@ def integral_formula_check(
     quad: Optional[QuadratureConfig] = None,
 ) -> IntegralCheckResult:
     """Check Ric(u,u) = (integral of twice the second mean curvature)/Vol,
-    applicable where the endpoint orders make the bending finite."""
+    applicable where the endpoint orders make the bending finite.  A Ricci
+    side that is not a normal float is undecided, before any integration."""
     prof = tube_profile(space, focal)
-    lhs = ricci_curvature(space)
+    lhs = _finite(ricci_curvature(space), space, "Ricci curvature")
     status = "not-applicable" if prof.divergent_endpoint else "applicable"
 
     rhs = _per_volume(prof, prof.identity_rows, quad).value_per_volume

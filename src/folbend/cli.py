@@ -17,8 +17,8 @@ verdicts included, and also when the reader of stdout closes it early),
 for usage errors (every ValueError: an invalid option or FOLBEND_* value,
 a case whose condition fails, an --emit-profile that cannot be written),
 3 when the answer is not decided (every UndecidedError: the quadrature
-misses its tolerance, or a density, a volume, a torus value or a bound
-leaves the float range, or a bound or a B/Vol falls below its normal range).  The
+misses its tolerance, or a density, volume, bar, torus value, Ricci curvature or
+bound is not finite, or a bound, Ricci curvature or B/Vol is below the normal range).  The
 README lists the cases.  ``torus`` and ``complex-radial`` evaluate closed
 forms: they accept and check --rel-tol and --abs-tol but do not use them.
 """

@@ -9,9 +9,10 @@ unit direction u has eigenvalue 4*lam on the invariant-structure images of
 u and ``lam`` on the rest.
 
 Downstream modules read ``invariant_count`` nu and ``dim`` = (nu + 1) * m,
-from which ``tubes.tube_profile`` builds its branches, and
-``jacobi_spectrum``, the (eigenvalue, multiplicity) pairs of the operator
-on the orthogonal complement of u.
+from which ``tubes.tube_profile`` builds its branches, and the Ricci
+curvature (n - 1 + 3 nu) * lam, the trace of that operator on the orthogonal
+complement of u (``ricci_curvature``).  ``label`` ("S:3", "CaP2") is the one
+rendering of a space, in messages and output alike.
 """
 from __future__ import annotations
 
@@ -25,9 +26,7 @@ __all__ = [
     "FocalVariety",
     "parse_space",
     "parse_focal",
-    "jacobi_spectrum",
     "ricci_curvature",
-    "scalar_curvature",
 ]
 
 
@@ -47,6 +46,9 @@ _INVARIANT_COUNT = {
     Family.QUATERNIONIC_PROJECTIVE: 3,
     Family.CAYLEY_PLANE: 7,
 }
+
+# The families named FAMILY:m, by prefix: every one but the single plane CaP2.
+_INDEXED = {family.value: family for family in Family if family is not Family.CAYLEY_PLANE}
 
 @dataclass(frozen=True)
 class ModelSpace:
@@ -77,11 +79,6 @@ class ModelSpace:
             return "CaP2"
         return f"{self.family.value}:{self.m}"
 
-    def __str__(self) -> str:
-        if self.family is Family.CAYLEY_PLANE:
-            return f"CaP^2(lam={self.lam:g})"
-        return f"{self.family.value}^{self.m}(lam={self.lam:g})"
-
 
 def parse_space(text: str, lam: float = 1.0) -> ModelSpace:
     """Parse "S:m", "RP:m", "CP:m", "HP:m" or "CaP2"."""
@@ -92,41 +89,19 @@ def parse_space(text: str, lam: float = 1.0) -> ModelSpace:
     if len(parts) != 2:
         raise ValueError(f"cannot parse space {text!r}; expected FAMILY:m or CaP2")
     prefix, index = parts
-    for family in Family:
-        if family.value == prefix and family is not Family.CAYLEY_PLANE:
-            try:
-                m = int(index)
-            except ValueError:
-                raise ValueError(f"space index must be an integer, got {index!r}") from None
-            return ModelSpace(family, m, lam)
-    raise ValueError(f"unknown space family {prefix!r}")
-
-
-def jacobi_spectrum(space: ModelSpace) -> list[tuple[float, int]]:
-    """(eigenvalue, multiplicity) pairs of the curvature operator normal to a unit direction.
-
-    Families without invariant structures have the single degenerate pair;
-    the others split off the invariant-structure directions at 4*lam.
-    """
-    n, nu, lam = space.dim, space.invariant_count, space.lam
-    if nu == 0:
-        return [(lam, n - 1)]
-    return [(4.0 * lam, nu), (lam, n - 1 - nu)]
+    if prefix not in _INDEXED:
+        raise ValueError(f"unknown space family {prefix!r}")
+    try:
+        m = int(index)
+    except ValueError:
+        raise ValueError(f"space index must be an integer, got {index!r}") from None
+    return ModelSpace(_INDEXED[prefix], m, lam)
 
 
 def ricci_curvature(space: ModelSpace) -> float:
-    """Ricci curvature Ric(u, u) of any unit direction: the spectrum trace."""
-    return math.fsum(eig * mult for eig, mult in jacobi_spectrum(space))
-
-
-def scalar_curvature(space: ModelSpace) -> float:
-    """Scalar curvature, n*(n - 1 + 3*nu)*lam.
-
-    Closed form on purpose: tests compare it against n times the
-    ``jacobi_spectrum`` trace as a consistency check between the two routes.
-    """
-    n, nu = space.dim, space.invariant_count
-    return n * (n - 1 + 3 * nu) * space.lam
+    """Ricci curvature Ric(u, u) of any unit direction: n - 1 - nu directions at
+    curvature lam and nu at 4 lam, for the exact (n - 1 + 3 nu) * lam rounded once."""
+    return (space.dim - 1 + 3 * space.invariant_count) * space.lam
 
 
 @dataclass(frozen=True)
@@ -145,7 +120,7 @@ class FocalVariety:
         if self.kind not in ("point", "sub"):
             raise ValueError("focal kind must be 'point' or 'sub'")
         if self.kind == "sub":
-            if self.sub_family is None or self.sub_family is Family.CAYLEY_PLANE:
+            if self.sub_family not in _INDEXED.values():
                 raise ValueError("sub-space focal varieties exist for S, RP, CP, HP only")
             if not isinstance(self.p, int) or self.p < 1:
                 raise ValueError("the sub-space index must be a positive integer")
@@ -171,12 +146,10 @@ def parse_focal(text: str) -> FocalVariety:
     if text == "point":
         return FocalVariety.point()
     parts = text.split(":")
-    if len(parts) == 3 and parts[0] == "sub":
-        for family in Family:
-            if family.value == parts[1] and family is not Family.CAYLEY_PLANE:
-                try:
-                    p = int(parts[2])
-                except ValueError:
-                    raise ValueError(f"sub-space index must be an integer, got {parts[2]!r}") from None
-                return FocalVariety.sub(family, p)
+    if len(parts) == 3 and parts[0] == "sub" and parts[1] in _INDEXED:
+        try:
+            p = int(parts[2])
+        except ValueError:
+            raise ValueError(f"sub-space index must be an integer, got {parts[2]!r}") from None
+        return FocalVariety.sub(_INDEXED[parts[1]], p)
     raise ValueError(f"cannot parse focal variety {text!r}; expected 'point' or 'sub:FAMILY:p'")

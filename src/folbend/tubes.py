@@ -246,9 +246,9 @@ def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
     if focal.kind == "point":
         round_family = fam in (Family.SPHERE, Family.REAL_PROJECTIVE)
         if m < 2 and round_family:
-            raise ValueError(f"no radial foliation on {space}: need dimension >= 2")
+            raise ValueError(f"no radial foliation on {space.label}: need dimension >= 2")
         if m < 2:
-            raise ValueError(f"{space} is isometric to a sphere; use the sphere catalog entry")
+            raise ValueError(f"{space.label} is isometric to a sphere; use the sphere catalog entry")
         return _build(
             space, focal, [(1, n - 1 - nu, N), (2, nu, N)], 2 if fam is Family.SPHERE else 1,
             area_constant=_unit_sphere_area(n) if round_family else None,
@@ -257,7 +257,7 @@ def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
     sub, p = focal.sub_family, focal.p
     if sub is fam:
         if not (1 <= p <= m - 1):
-            raise ValueError(f"no totally geodesic {focal.label} inside {space}")
+            raise ValueError(f"no totally geodesic {focal.label} inside {space.label}")
         return _build(space, focal,
                       [(1, (nu + 1) * p, T), (1, (nu + 1) * (m - 1 - p), N), (2, nu, N)], 1)
     if p == m and (fam, sub) in ((Family.COMPLEX_PROJECTIVE, Family.REAL_PROJECTIVE),

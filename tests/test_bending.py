@@ -289,6 +289,13 @@ class TestEpsilonDeformation:
         assert abs(res.value_per_volume - s2_window_at_the_ends(w0, w1)) <= res.error_estimate
         assert res.error_estimate < 1e-4
 
+    def test_edge_term_that_is_not_finite_is_undecided(self):
+        # The density at the window's edges is not finite here; the bar with
+        # the edge term was NaN, after the quadrature's own finite check.
+        space = parse_space("S:150", 2.299678078840782e+283)
+        with pytest.raises(UndecidedError, match="not finite"):
+            epsilon_deformed_bending(space, parse_focal("sub:S:148"), 1.5707963267941152)
+
     @pytest.mark.parametrize("eps", [-0.1, math.pi / 2 + 0.01, 7.0])
     def test_rejects_out_of_range_epsilon(self, eps):
         with pytest.raises(ValueError):
@@ -445,6 +452,15 @@ class TestEnergy:
         res = energy(total_bending(parse_space("CP:3"), parse_focal("sub:CP:1"), TIGHT), 6)
         assert res.per_volume == pytest.approx(3.0 + 5.0, rel=1e-9)
         assert res.absolute is None
+
+    @pytest.mark.parametrize("space,lam", [
+        ("S:3", 4.818305117709074e-206), ("RP:3", 3.0e-206), ("S:4", 9.9e-155),
+        ("S:7", 8.6e-89), ("S:12", 4.1e-52)])
+    def test_no_absolute_value_past_the_float_range(self, space, lam):
+        # The volume integral is finite but the area constant times it is not.
+        res = energy(total_bending(parse_space(space, lam), POINT), parse_space(space).dim)
+        assert res.bending.value_per_volume == pytest.approx(exact_bending(space, "point")[1] * lam)
+        assert (res.bending.value, res.bending.volume, res.absolute) == (None, None, None)
 
     def test_complex_radial_energy(self):
         res = energy(complex_radial_bending(2, 1.0, TIGHT), 4)

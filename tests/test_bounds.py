@@ -18,8 +18,8 @@ from folbend.bounds import (
     table1_report,
 )
 from folbend.quadrature import QuadratureConfig, UndecidedError
-from folbend.spaces import parse_focal, parse_space, ricci_curvature, scalar_curvature
-from oracles import BOUND_SPACES, exact_bending, label_reading
+from folbend.spaces import parse_focal, parse_space, ricci_curvature
+from oracles import BOUND_SPACES, exact_bending, label_reading, ricci_per_lam
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -132,7 +132,7 @@ class TestBoundRange:
         for lam in (1.0, 2.5, 1e-3, 7.25e100):
             s = parse_space(space, lam)
             n = s.dim
-            tau_form = scalar_curvature(s) / (2 * n * (n - 2))
+            tau_form = n * ricci_per_lam(space) * lam / (2 * n * (n - 2))
             ulps = abs(einstein_lower_bound(s) - tau_form) / math.ulp(tau_form)
             assert ulps <= (0 if lam == 1.0 else 2)
 
@@ -211,6 +211,12 @@ class TestIntegralFormula:
         assert res.rhs is not None and math.isfinite(res.rhs)
         if finite:
             assert res.relative_gap <= 1e-10 and res.holds
+
+    @pytest.mark.parametrize("space,lam", [("CP:2", 4e307), ("CP:2", 3.5e307), ("S:3", 1e-320)])
+    def test_ricci_outside_the_normal_range_is_undecided(self, space, lam):
+        # 6 * 4e307 overflows and 2e-320 is subnormal: undecided before any integration
+        with pytest.raises(UndecidedError, match="Ricci curvature on"):
+            integral_formula_check(parse_space(space, lam), parse_focal("point"), TIGHT)
 
     def test_identity_scales_with_curvature(self):
         res = integral_formula_check(parse_space("HP:2", 2.0), parse_focal("point"), TIGHT)

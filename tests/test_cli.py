@@ -652,9 +652,14 @@ def test_underflowing_volume_is_undecided(argv):
     ["table1", "--lambda", "1e-300"],
     ["check-integral", "--space", "S:3", "--lambda", "1e-300"],
     ["bending", "--space", "S:3", "--lambda", "1e-300"],
+    ["bending", "--space", "S:150", "--focal", "sub:S:148", "--lambda", "2.299678078840782e+283",
+     "--epsilon", "1.5707963267941152"],
+    ["check-integral", "--space", "CP:2", "--lambda", "4e307"],
+    ["check-integral", "--space", "CP:2", "--lambda", "3.5e307"],
 ])
 def test_overflowing_density_is_undecided(argv, capsys):
-    # The density or its panel integrals overflow at these curvature scales.
+    # The density or its panel integrals overflow at these curvature scales, or
+    # the density at a window edge (the bar was NaN), or Ric = 6 lam on CP:2.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run_main(argv, capsys)
@@ -709,6 +714,7 @@ EDGE_JSON = [
     ["bounds", "--space", "CaP2", "--q", "1", "--case", "III", "--lambda", "1e308", "--json"],
     ["bending", "--space", "S:3", "--epsilon", "0.3", "--json"],
     ["bending", "--space", "S:400", "--json"],
+    ["bending", "--space", "S:3", "--lambda", "4.818305117709074e-206", "--json"],
 ]
 
 

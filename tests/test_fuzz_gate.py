@@ -24,7 +24,7 @@ one of those, widened by 4 ulps, leaves the normal float range.
 ``table1 --json`` and ``check-integral --json`` (one catalog pair up to
 dimension 200) at a curvature scale over the whole float range end in exit 3,
 or in exit 0 with every table row reproduced and every applicable identity row
-holding, and with each Ricci side within 4 ulps of (n - 1 + 3 nu) * lam.
+holding, and with each Ricci side the exact (n - 1 + 3 nu) * lam rounded once.
 Exit 1 (a row or the identity fails) is never allowed.  Exit 3 is common at
 both ends of the range until the catalog answers are exact.
 """
@@ -36,7 +36,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folbend import cli
@@ -75,6 +75,9 @@ def _document(code, out, err):
        log_lam=st.floats(*LOG_LAM),
        log_rel=st.floats(-14.0, -0.5),
        log_abs=st.floats(-16.0, -0.5))
+# lam = 4.818305117709074e-206 at the default tolerances: the volume integral
+# is finite, the area constant times it is not (it printed "volume": Infinity).
+@example(pair=("S:3", "point"), log_lam=-205.31710570190063, log_rel=-8.0, log_abs=-12.0)
 def test_bending_json_ends_in_the_exact_answer_or_undecided(pair, log_lam, log_rel, log_abs):
     space, focal = pair
     lam = 10.0 ** log_lam
@@ -167,6 +170,7 @@ def test_table1_json_reproduces_every_row_or_is_undecided(log_lam):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(pair=st.sampled_from(PAIRS), log_lam=st.floats(*LOG_LAM))
+@example(pair=("CP:2", "point"), log_lam=307.60205999132796)  # Ric = 6 * 4e307 overflows
 def test_check_integral_json_holds_or_is_undecided(pair, log_lam):
     space, focal = pair
     lam = 10.0 ** log_lam
@@ -178,5 +182,4 @@ def test_check_integral_json_holds_or_is_undecided(pair, log_lam):
     assert row["status"] == ("applicable" if exact_bending(space, focal)[0] == "finite"
                              else "not-applicable")
     assert row["holds"] or row["status"] == "not-applicable"
-    exact = ricci_per_lam(space) * Fraction(lam)
-    assert abs(Fraction(row["lhs"]) - exact) <= 4 * Fraction(math.ulp(row["lhs"]))
+    assert row["lhs"] == float(ricci_per_lam(space) * Fraction(lam))

@@ -22,8 +22,7 @@ PUBLIC = {
         "block_mean_curvature_slacks",
     },
     "spaces": {
-        "Family", "ModelSpace", "FocalVariety", "parse_space", "parse_focal",
-        "jacobi_spectrum", "ricci_curvature", "scalar_curvature",
+        "Family", "ModelSpace", "FocalVariety", "parse_space", "parse_focal", "ricci_curvature",
     },
     "tubes": {
         "InitKind", "JacobiBranch", "TubeProfile", "NotComputableError", "tube_profile",

@@ -1,15 +1,17 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from folbend.spaces import (
     Family,
     FocalVariety,
     ModelSpace,
-    jacobi_spectrum,
     parse_focal,
     parse_space,
     ricci_curvature,
-    scalar_curvature,
 )
+from oracles import catalog_labels, ricci_per_lam
 
 ALL_SPACES = [
     ModelSpace(Family.SPHERE, 3),
@@ -59,32 +61,49 @@ class TestModelSpace:
 
 
 class TestSpectrum:
+    """Ric(u, u) against the trace of the curvature operator normal to u and
+    the oracle's n - 1 + 3 nu; the scalar curvature is n * Ric."""
+
     def test_sphere(self):
-        assert jacobi_spectrum(ModelSpace(Family.SPHERE, 3)) == [(1.0, 2)]
-        assert jacobi_spectrum(ModelSpace(Family.REAL_PROJECTIVE, 5, 2.0)) == [(2.0, 4)]
+        assert ricci_curvature(ModelSpace(Family.SPHERE, 3)) == 2.0
+        assert ricci_curvature(ModelSpace(Family.REAL_PROJECTIVE, 5, 2.0)) == 8.0
 
     def test_complex_projective(self):
-        assert jacobi_spectrum(ModelSpace(Family.COMPLEX_PROJECTIVE, 2)) == [(4.0, 1), (1.0, 2)]
+        assert ricci_curvature(ModelSpace(Family.COMPLEX_PROJECTIVE, 2)) == 6.0
 
     def test_cayley_plane(self):
-        assert jacobi_spectrum(ModelSpace(Family.CAYLEY_PLANE, 2)) == [(4.0, 7), (1.0, 8)]
+        assert ricci_curvature(ModelSpace(Family.CAYLEY_PLANE, 2)) == 36.0
 
     def test_multiplicities_fill_the_normal_space(self):
+        # nu invariant-structure directions at 4 lam, the other n - 1 - nu at lam
         for space in ALL_SPACES:
-            assert sum(mult for _, mult in jacobi_spectrum(space)) == space.dim - 1
+            nu, lam = space.invariant_count, Fraction(space.lam)
+            assert ricci_curvature(space) == float(4 * nu * lam + (space.dim - 1 - nu) * lam)
 
     def test_scalar_curvature_consistent_with_spectrum_trace(self):
-        # Two independent routes: the closed form versus n * Ric(u, u).
+        # Two independent routes: the oracle's n (n - 1 + 3 nu) lam versus n * Ric(u, u).
         for space in ALL_SPACES:
-            assert scalar_curvature(space) == pytest.approx(
+            assert space.dim * ricci_per_lam(space.label) * space.lam == pytest.approx(
                 space.dim * ricci_curvature(space), rel=1e-15
             )
 
     def test_values(self):
-        assert scalar_curvature(ModelSpace(Family.SPHERE, 3)) == 6.0
-        assert scalar_curvature(ModelSpace(Family.COMPLEX_PROJECTIVE, 2)) == 24.0
-        assert scalar_curvature(ModelSpace(Family.QUATERNIONIC_PROJECTIVE, 2)) == 128.0
+        assert 3 * ricci_curvature(ModelSpace(Family.SPHERE, 3)) == 6.0
+        assert 4 * ricci_curvature(ModelSpace(Family.COMPLEX_PROJECTIVE, 2)) == 24.0
+        assert 8 * ricci_curvature(ModelSpace(Family.QUATERNIONIC_PROJECTIVE, 2)) == 128.0
         assert ricci_curvature(ModelSpace(Family.CAYLEY_PLANE, 2)) == 36.0
+
+    def test_correctly_rounded_over_the_catalog(self):
+        # 20 scales log-uniform in 1e-300..1e300 for every catalog space: Ric is
+        # the exact (n - 1 + 3 nu) * lam rounded once.  A sum of the two parts of
+        # the spectrum rounds 36 * 0.3 on CaP2 to 10.8, one ulp above it.
+        assert ricci_curvature(parse_space("CaP2", 0.3)) == 10.799999999999999
+        rng = random.Random(27)
+        for label in dict.fromkeys(space for space, _ in catalog_labels()):
+            for _ in range(20):
+                lam = 10.0 ** rng.uniform(-300.0, 300.0)
+                exact = Fraction(ricci_per_lam(label)) * Fraction(lam)
+                assert ricci_curvature(parse_space(label, lam)) == float(exact), (label, lam)
 
 
 class TestFocalVariety:

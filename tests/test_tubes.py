@@ -391,6 +391,16 @@ class TestCatalogRejections:
             with pytest.raises(ValueError):
                 tube_profile(parse_space(space_text), parse_focal(focal_text))
 
+    @pytest.mark.parametrize("space,focal,message", [
+        ("S:1", "point", "no radial foliation on S:1: "),
+        ("HP:1", "point", "HP:1 is isometric to a sphere"),
+        ("CP:3", "sub:CP:3", "no totally geodesic sub:CP:3 inside CP:3"),
+    ])
+    def test_messages_name_the_space_by_its_label(self, space, focal, message):
+        with pytest.raises(ValueError) as info:
+            tube_profile(parse_space(space, 2.0), parse_focal(focal))
+        assert str(info.value).startswith(message)
+
     def test_not_computable_is_distinguishable(self):
         # Catalog-external pairs raise plain ValueError, not the marker type.
         try:
