@@ -42,7 +42,8 @@ for b, a, da in zip(prof.branches, alpha(r), (alpha(r + h) - alpha(r - h)) / (2 
 
 # the log-derivative of theta is the sum of the alphas, multiplicity counted
 dth = (prof.theta(r + h) - prof.theta(r - h)) / (2 * h)
-print(f"log-derivative residual: {dth / prof.theta(r) - prof.sum_alpha(r):+.3e}")
+sum_alpha = sum(b.multiplicity * float(a) for b, a in zip(prof.branches, alpha(r)))
+print(f"log-derivative residual: {float(dth / prof.theta(r)) - sum_alpha:+.3e}")
 
 write_profile_csv(prof, "hp2_point_profile.csv", count=100)
 print("\nwrote hp2_point_profile.csv with columns r, alpha_1, alpha_2, theta")

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .quadrature import QuadratureConfig, UndecidedError, _finite, ratio_quadrature
+from .quadrature import QuadratureConfig, UndecidedError, _finite, _normal, ratio_quadrature
 from .spaces import Family, FocalVariety, ModelSpace
 from .tubes import JacobiBranch, TubeProfile, tube_profile
 
@@ -189,10 +189,6 @@ def epsilon_deformed_bending(
     return _per_volume(prof, prof.bending_rows, quad, window)
 
 
-def _normal(x: float) -> bool:
-    return sys.float_info.min <= x < math.inf
-
-
 def torus_bending(
     big_radius: float,
     small_radius: float,
@@ -263,9 +259,9 @@ def energy(bending: BendingResult, n: int) -> EnergyResult:
     bending result of a foliation of an n-dimensional space.
 
     Per unit volume this is n/2 + B/Vol; the absolute value is filled in
-    whenever the bending result carries an absolute volume.  The torus
-    variant is not supported because its quoted bending integral is not
-    volume-normalized.
+    where the bending result carries an absolute volume and the sum is a
+    normal float.  The torus variant is not supported because its quoted
+    bending integral is not volume-normalized.
     """
     if not isinstance(bending, BendingResult):
         raise TypeError("energy is defined for the volume-normalized bending results")
@@ -274,5 +270,6 @@ def energy(bending: BendingResult, n: int) -> EnergyResult:
     per_volume = n / 2.0 + bending.value_per_volume
     absolute = None
     if bending.value is not None and bending.volume is not None:
-        absolute = n / 2.0 * bending.volume + bending.value
+        total = n / 2.0 * bending.volume + bending.value
+        absolute = total if _normal(total) else None
     return EnergyResult("finite", per_volume, absolute, bending)

@@ -28,14 +28,13 @@ check reports those rows as not applicable.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bending import BendingResult, _per_volume, total_bending
-from .quadrature import QuadratureConfig, UndecidedError
+from .quadrature import QuadratureConfig, UndecidedError, _normal
 from .spaces import (
     FocalVariety,
     ModelSpace,
@@ -101,7 +100,7 @@ def _reading(case, n: int, q: int) -> tuple[BoundCase, Fraction]:
 def _finite(value: float, space: ModelSpace, what: str = "bound") -> float:
     # Below the normal range rounding is coarse enough to print a lower bound
     # above the exact one (5/8 * 5e-324 prints as 5e-324), so that is undecided too.
-    if not sys.float_info.min <= value < math.inf:
+    if not _normal(value):
         where = "exceeds the" if value > 1 else "falls below the normal"
         raise UndecidedError(f"the {what} on {space.label} {where} float range "
                              f"at lam = {space.lam!r}")
@@ -193,8 +192,8 @@ class TableRow:
         return self.status in ("Reproduced", "DivergenceConfirmed", "NotComputable")
 
 
-# (space, focal, closed form per unit lam or the expected verdict); every row
-# equals the exact catalog answer (tests/test_bounds.py, test_rows_equal_the_exact_catalog).
+# (space, focal, closed form per unit lam or the verdict "divergent" or "not-computable");
+# every row equals the exact catalog answer (test_bounds.py, test_rows_equal_the_exact_catalog).
 DEFAULT_TABLE_ROWS: tuple[tuple[str, str, object], ...] = (
     ("S:2", "point", "divergent"),
     ("S:3", "point", Fraction(1)),
@@ -213,8 +212,8 @@ DEFAULT_TABLE_ROWS: tuple[tuple[str, str, object], ...] = (
     ("HP:3", "point", Fraction(41, 5)),
     ("HP:3", "sub:HP:1", Fraction(19, 3)),
     ("CaP2", "point", Fraction(139, 21)),
-    ("CP:2", "sub:RP:2", "not computable"),
-    ("HP:2", "sub:CP:2", "not computable"),
+    ("CP:2", "sub:RP:2", "not-computable"),
+    ("HP:2", "sub:CP:2", "not-computable"),
 )
 
 # The pairs with finite bending in the table, which the identity survey checks by default.
@@ -225,22 +224,19 @@ DEFAULT_CHECK_PAIRS: tuple[tuple[str, str], ...] = tuple(
 @dataclass(frozen=True)
 class Table1Report:
     rows: tuple[TableRow, ...]
-    lam: float
-    rtol: float
 
     @property
     def all_ok(self) -> bool:
         return all(row.ok for row in self.rows)
 
 
-_VERDICT_KIND = {"divergent": "divergent", "not computable": "not-computable"}
 _CONFIRMED = {"finite": "Reproduced", "divergent": "DivergenceConfirmed",
               "not-computable": "NotComputable"}
 
 
 def _table_row(space, focal, form, lam, rtol, quad) -> TableRow:
     """Compute one pair and compare it with its closed form or expected verdict."""
-    kind = _VERDICT_KIND.get(form, "finite")
+    kind = form if isinstance(form, str) else "finite"
     closed_form = expected = relative_error = None
     if kind == "finite":
         closed_form, expected = form, float(form) * lam
@@ -267,17 +263,15 @@ def table1_report(
     Finite rows must match their closed form to relative tolerance
     ``rtol``; rows expected to diverge must be flagged divergent; the two
     quotient pairs whose tube data is not determined by the catalog must
-    raise accordingly.
+    raise accordingly.  The rows' ``ModelSpace`` rejects an invalid ``lam``.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("the curvature scale must be positive")
     if not (math.isfinite(rtol) and rtol >= 0):
         raise ValueError("the relative tolerance must be a nonnegative finite number")
     out = tuple(
         _table_row(space, focal, form, lam, rtol, quad)
         for space, focal, form in (rows if rows is not None else DEFAULT_TABLE_ROWS)
     )
-    return Table1Report(rows=out, lam=lam, rtol=rtol)
+    return Table1Report(rows=out)
 
 
 @dataclass(frozen=True)
@@ -297,23 +291,23 @@ class MinimizerReport:
 def minimizer_report(
     space: ModelSpace,
     quad: Optional[QuadratureConfig] = None,
-    tol: float = 1e-8,
 ) -> MinimizerReport:
     """Compare the radial foliation of a model space against the q = n-1 bound.
 
     On constant curvature the geodesic spheres are umbilical and the bound
     is attained exactly; on the projective families the spheres carry two
     distinct principal curvatures and the bending sits strictly above the
-    bound (or diverges, making the bound vacuous).
+    bound (or diverges, making the bound vacuous).  It is attained where |slack|
+    is within the bending's error estimate plus four ulps of the bound (its roundings).
     """
     bound = lower_bound(space, space.dim - 1, BoundCase.I_CODIM1)
     bending = total_bending(space, FocalVariety.point(), quad)
-    margin = tol * max(1.0, abs(bound.value))
     if not bending.is_finite:
         slack, attains = None, False
         note = "bound holds vacuously: the total bending diverges"
     else:
         slack = bending.value_per_volume - bound.value
+        margin = bending.error_estimate + 4.0 * math.ulp(bound.value)
         attains = abs(slack) <= margin
         if slack < -margin:
             note = "bound violated"  # would indicate a defect; never expected

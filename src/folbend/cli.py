@@ -153,11 +153,11 @@ def _cmd_complex_radial(args):
         f"(closed form: 2 * lam = {2 * args.lam:.6f})"]
 
 
-def _table1_line(row, lam: float) -> str:
+def _table1_line(row) -> str:
     label = f"{row.space} / {row.focal}"
     if row.kind == "finite" and row.computed is not None:
         return (f"{label}: B/Vol = {row.computed:.6f} (closed form: {row.closed_form} * lam"
-                f" = {float(row.closed_form) * lam:.6f}) [{row.status}]")
+                f" = {row.expected:.6f}) [{row.status}]")
     if row.kind == "divergent" and row.divergent_endpoint is not None:
         return f"{label}: {_divergent_line(row)} [{row.status}]"
     if row.kind == "not-computable":
@@ -167,7 +167,7 @@ def _table1_line(row, lam: float) -> str:
 
 def _cmd_table1(args):
     report = table1_report(lam=args.lam, rtol=args.rtol, quad=args.quad)
-    lines = [_table1_line(row, args.lam) for row in report.rows]
+    lines = [_table1_line(row) for row in report.rows]
     lines.append(f"table {'reproduced' if report.all_ok else 'FAILED'} "
                  f"(lam={args.lam:g}, rtol={args.rtol:g})")
     return (0 if report.all_ok else 1,
@@ -229,7 +229,7 @@ def _cmd_selfcheck(args):
     from .torsion import SplitDims, mu_identity_residual, random_coefficients
 
     # Table 1 and the default identity survey at lam = 1, through the library's own paths.
-    failures = [f"table 1 row {_table1_line(row, 1.0)}" for row in table1_report().rows
+    failures = [f"table 1 row {_table1_line(row)}" for row in table1_report().rows
                 if not row.ok]
     checks = (integral_formula_check(parse_space(space), parse_focal(focal))
               for space, focal in DEFAULT_CHECK_PAIRS)
@@ -361,9 +361,6 @@ def main(argv: Optional[list] = None) -> int:
     except UndecidedError as exc:
         print(f"folbend: undecided: {exc}", file=sys.stderr)
         return 3
-    except NotComputableError as exc:
-        print(f"folbend: {exc}", file=sys.stderr)
-        return 0
     except ValueError as exc:
         print(f"folbend: {exc}", file=sys.stderr)
         return 2

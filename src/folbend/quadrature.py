@@ -222,6 +222,11 @@ def _finite(value: float, error: float, a: float, b: float) -> tuple[float, floa
     return value, error
 
 
+def _normal(x: float) -> bool:
+    """Whether x is a positive normal float: at least the smallest one, and finite."""
+    return sys.float_info.min <= x < math.inf
+
+
 # Generations of bisections below a panel that one integrand call evaluates
 # ahead of need (2 ran faster than 1 or 3 on the bending integrals).
 _LOOKAHEAD = 2
@@ -292,7 +297,7 @@ def ratio_quadrature(
         raise ValueError("breakpoints must be at least two and nondecreasing")
     lows, highs = (sum(bounds, []) for bounds in zip(*(_subtree(*iv) for iv in intervals)))
     (num, num_err), (den, den_err) = _refine(f, intervals, config, _panels(f, lows, highs, 2), 2)
-    if not den >= sys.float_info.min:
+    if not _normal(den):
         raise UndecidedError(f"the denominator integral {den!r} over [{breakpoints[0]}, "
                              f"{breakpoints[-1]}] is not a positive normal float")
     ratio = num / den

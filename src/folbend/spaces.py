@@ -61,6 +61,8 @@ class ModelSpace:
             raise ValueError("the index m must be a positive integer")
         if self.family is Family.CAYLEY_PLANE and self.m != 2:
             raise ValueError("the octonionic projective space exists only as a plane (m = 2)")
+        if self.dim > 2**53:  # so n, q, n - q and each multiplicity are exact floats
+            raise ValueError("the dimension must be at most 2**53")
         if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
             raise ValueError("the curvature scale must be a positive finite number")
         object.__setattr__(self, "lam", float(self.lam))

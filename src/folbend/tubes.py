@@ -14,8 +14,9 @@ constant factor (supplied explicitly only where the leaves are full
 geodesic spheres, so that absolute volumes make sense).  ``TubeProfile``
 is the one evaluator of the branches' closed forms: each evaluation loops
 once over the branches, in order, for (multiplicity, f, alpha) at the
-radii, and folds that list into theta, the curvature sums or the two-row
-integrands.  ``tube_profile`` builds a profile for a cataloged pair.
+radii, and folds that list into theta, the alpha rows, the two-row
+integrands of the bending and of the Ricci identity, or the sample table.
+``tube_profile`` builds a profile for a cataloged pair.
 
 The catalog covers exactly the pairs whose curvature data is available:
 points in all five families, totally geodesic S^k in S^m (likewise RP),
@@ -28,14 +29,13 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import combinations
 from typing import Optional
 
-from .quadrature import UndecidedError
+from .quadrature import UndecidedError, _normal
 from .spaces import Family, FocalVariety, ModelSpace
 
 __all__ = [
@@ -85,7 +85,7 @@ def _unit_sphere_area(n: int) -> Optional[float]:
     # because gamma(n/2) overflows for n >= 350; None once the area is no
     # longer a normal float.
     area = math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
-    return area if area >= sys.float_info.min else None
+    return area if _normal(area) else None
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ class TubeProfile:
     ``theta(mu)`` vanishes except in the one cataloged case where the
     boundary leaf is a regular smooth leaf rather than a focal set (the
     antipodal cross-section of RP^m around a point); that case is marked by
-    ``boundary_leaf_regular``.  Every branch has kappa > 0.  Each evaluation
+    ``boundary_leaf_regular``.  Every branch has kappa > 0.  Each evaluation,
+    ``theta``, ``alpha_values``, ``bending_rows``, ``identity_rows`` or ``samples``,
     runs ``_rows`` once, a loop over ``branches``, and folds its rows.
     """
 
@@ -149,26 +150,15 @@ class TubeProfile:
         shape, rows = self._rows(r)
         return np.array([alpha for _, _, alpha in rows]).reshape((len(rows),) + shape)
 
-    def sum_alpha(self, r):
-        """Multiplicity-weighted sum of principal curvatures (mean curvature)."""
-        shape, rows = self._rows(r)
-        return _sum(rows, 1).reshape(shape)
-
     def bending_rows(self, r) -> np.ndarray:
         """Rows (bending density, theta) at the flattened radii r, from one evaluation."""
         _, rows = self._rows(r)
         theta = _theta(rows)
-        return np.array((0.5 * _sum(rows, 2) * theta, theta))
-
-    def second_mean_curvature(self, r):
-        """Sum of pairwise products of principal curvatures (with multiplicity),
-        pair by pair: 0.5 ((sum m alpha)**2 - sum m alpha**2) cancels d**-2 terms."""
-        shape, rows = self._rows(r)
-        return _sigma_2(rows).reshape(shape)
+        return np.array((0.5 * _square_sum(rows) * theta, theta))
 
     def identity_rows(self, r) -> np.ndarray:
-        """Rows (2 * second mean curvature * theta, theta) at the flattened radii r,
-        from one evaluation."""
+        """Rows (2 * sigma_2 * theta, theta) at the flattened radii r, from one evaluation;
+        the second mean curvature sigma_2 is summed pair by pair, so no d**-2 terms cancel."""
         _, rows = self._rows(r)
         theta = _theta(rows)
         return np.array((2.0 * _sigma_2(rows) * theta, theta))
@@ -195,8 +185,8 @@ def _theta(rows):
     return reduce(np.multiply, powers)
 
 
-def _sum(rows, power):
-    return reduce(np.add, [mult * alpha ** power for mult, _, alpha in rows])
+def _square_sum(rows):
+    return reduce(np.add, [mult * alpha ** 2 for mult, _, alpha in rows])
 
 
 def _sigma_2(rows):

@@ -462,6 +462,13 @@ class TestEnergy:
         assert res.bending.value_per_volume == pytest.approx(exact_bending(space, "point")[1] * lam)
         assert (res.bending.value, res.bending.volume, res.absolute) == (None, None, None)
 
+    def test_no_absolute_energy_past_the_float_range(self):
+        # Vol (about 1.797e308) and B are normal floats, but (n/2) Vol + B is not.
+        res = energy(total_bending(parse_space("S:12", 6.355e-52), POINT), 12)
+        assert res.bending.volume is not None and res.bending.value is not None
+        assert res.per_volume == pytest.approx(6.0 + 11.0 / 20.0 * 6.355e-52)
+        assert res.absolute is None
+
     def test_complex_radial_energy(self):
         res = energy(complex_radial_bending(2, 1.0, TIGHT), 4)
         assert res.per_volume == pytest.approx(2.0 + 2.0, rel=1e-9)

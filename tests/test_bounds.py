@@ -240,7 +240,7 @@ class TestTableReport:
         if isinstance(form, Fraction):
             assert (verdict, value) == ("finite", form)
         else:
-            assert verdict == form.replace(" ", "-")
+            assert verdict == form
 
     def test_row_contents(self):
         report = table1_report(quad=TIGHT)
@@ -268,7 +268,7 @@ class TestTableReport:
     def test_wrong_verdict_fails(self):
         report = table1_report(quad=TIGHT, rows=[("S:3", "point", "divergent")])
         assert report.rows[0].status == "Failed"
-        report = table1_report(quad=TIGHT, rows=[("S:3", "point", "not computable")])
+        report = table1_report(quad=TIGHT, rows=[("S:3", "point", "not-computable")])
         assert report.rows[0].status == "Failed"
         assert report.rows[0].computed == pytest.approx(1.0, rel=1e-9)
 
@@ -313,6 +313,24 @@ class TestMinimizerReport:
     def test_small_spaces_rejected(self):
         with pytest.raises(ValueError):
             minimizer_report(parse_space("S:2"))
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-12])
+    @pytest.mark.parametrize("label,lam,attains", [
+        ("S:3", 1.0, True), ("S:9", 2.5, True), ("S:4", 1e-10, True), ("RP:3", 1.0, True),
+        ("RP:8", 1e3, True), ("CP:3", 1.0, False), ("CP:6", 1e-3, False), ("HP:2", 1.0, False),
+        ("HP:4", 1e3, False), ("HP:2", 1e-10, False), ("CaP2", 1.0, False), ("CaP2", 1e-12, False),
+    ])
+    def test_attains_exactly_within_the_bar(self, label, lam, attains, rel_tol):
+        # The bar is the bending's error estimate plus four ulps of the bound.  It
+        # scales with lam: a fixed margin of 1e-8 called HP:2 at lam = 1e-10 attained.
+        rep = minimizer_report(parse_space(label, lam), QuadratureConfig(rel_tol=rel_tol))
+        assert rep.attains_bound is attains
+        if label.startswith("CP"):  # the bending diverges at mu, the bound holds vacuously
+            assert rep.slack is None and "vacuous" in rep.note
+            return
+        bar = rep.bending.error_estimate + 4.0 * math.ulp(rep.bound.value)
+        assert (abs(rep.slack) <= bar) is attains
+        assert rep.note.startswith("bound attained" if attains else "bound strict")
 
 
 def test_every_minimizer_space_is_cataloged():

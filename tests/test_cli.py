@@ -701,6 +701,44 @@ def test_high_dimensional_sphere(capsys):
     assert abs(payload["value_per_volume"] - 399 / 796) <= payload["error_estimate"]
 
 
+HUGE = "S:1" + "0" * 400      # past the float range
+LGAMMA = "S:1" + "0" * 307    # lgamma(n / 2) overflows
+EDGE = f"S:{2**53}"           # the largest dimension accepted
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--space", HUGE, "--q", "1", "--case", "I"], 2),
+    (["check-integral", "--space", HUGE], 2),
+    (["bending", "--space", LGAMMA], 2),
+    (["check-integral", "--space", LGAMMA], 2),
+    (["minimizer", "--space", LGAMMA], 2),
+    (["bounds", "--space", f"S:{2**53 + 1}", "--q", "1", "--case", "I"], 2),
+    (["complex-radial", "--m", str(2**52 + 1)], 2),
+    (["bounds", "--space", EDGE, "--q", "1", "--case", "I"], 0),
+    (["complex-radial", "--m", str(2**52)], 0),
+    (["bending", "--space", EDGE], 3),
+    (["check-integral", "--space", EDGE], 3),
+    (["minimizer", "--space", EDGE], 3),
+    (["bending", "--space", EDGE, "--emit-profile", "p.csv"], 3),
+], ids=["bounds-1e400", "check-integral-1e400", "bending-1e307", "check-integral-1e307",
+         "minimizer-1e307", "bounds-2**53+1", "complex-radial-2**52+1", "bounds-2**53",
+         "complex-radial-2**52", "bending-2**53", "check-integral-2**53", "minimizer-2**53",
+         "emit-profile-2**53"])
+def test_dimension_past_2_to_the_53_is_usage_error(argv, code, tmp_path, monkeypatch, capsys):
+    # Up to 2**53, n, q, n - q and every multiplicity convert to float exactly.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_main(argv + ["--json"], capsys)
+    assert got == code
+    if code == 0:
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        assert out == "" and err.count("\n") == 1
+    if code == 2:
+        assert err == "folbend: the dimension must be at most 2**53\n"
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -1,6 +1,8 @@
 """The public surface is the modules' ``__all__``; the package itself re-exports nothing."""
 import ast
+import dataclasses
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -64,6 +66,21 @@ def test_public_names_are_pinned(name):
     module = importlib.import_module(f"folbend.{name}")
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) == PUBLIC[name]
+
+
+def test_only_what_a_caller_needs():
+    # A profile evaluates its primitives and the two integrands; the minimizer
+    # decides attainment by its bar; Table 1's report is its rows; main handles
+    # no NotComputableError, which every command answers or turns into a usage
+    # error itself; and one helper states the normal-float range.
+    from folbend import bounds, cli, tubes
+
+    assert not {"sum_alpha", "second_mean_curvature"} & set(dir(tubes.TubeProfile))
+    assert "tol" not in inspect.signature(bounds.minimizer_report).parameters
+    assert [f.name for f in dataclasses.fields(bounds.Table1Report)] == ["rows"]
+    assert not hasattr(bounds, "_VERDICT_KIND")
+    assert "NotComputableError" not in inspect.getsource(cli.main)
+    assert sum(path.read_text().count("float_info.min") for path in SOURCES) == 1
 
 
 def unused_imports(source: str) -> list[str]:
