@@ -45,5 +45,5 @@ dth = (prof.theta(r + h) - prof.theta(r - h)) / (2 * h)
 sum_alpha = sum(b.multiplicity * float(a) for b, a in zip(prof.branches, alpha(r)))
 print(f"log-derivative residual: {float(dth / prof.theta(r)) - sum_alpha:+.3e}")
 
-write_profile_csv(prof, "hp2_point_profile.csv", count=100)
-print("\nwrote hp2_point_profile.csv with columns r, alpha_1, alpha_2, theta")
+write_profile_csv(prof, "hp2_point_profile.csv")
+print("\nwrote hp2_point_profile.csv (200 interior radii) with columns r, alpha_1, alpha_2, theta")

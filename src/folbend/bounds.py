@@ -1,5 +1,6 @@
 """Lower bounds for total bending, the mean-curvature integral identity,
-and the reference table of radial/tubular bendings.
+and the reference table of radial/tubular bendings, which ``table1_report``
+recomputes as one ``TableRow`` per entry of ``DEFAULT_TABLE_ROWS``.
 
 The bound for a singular foliation with q-dimensional leaves on a compact
 space of positive curvature scale lam is
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .bending import BendingResult, _per_volume, total_bending
 from .quadrature import QuadratureConfig, UndecidedError, _normal
@@ -53,7 +54,6 @@ __all__ = [
     "integral_formula_check",
     "DEFAULT_CHECK_PAIRS",
     "TableRow",
-    "Table1Report",
     "DEFAULT_TABLE_ROWS",
     "table1_report",
     "MinimizerReport",
@@ -110,8 +110,6 @@ def _finite(value: float, space: ModelSpace, what: str = "bound") -> float:
 @dataclass(frozen=True)
 class LowerBound:
     case: BoundCase
-    n: int
-    q: int
     coefficient: Fraction  # multiplies q*(n-q)*lam
     value: float
 
@@ -123,7 +121,7 @@ def lower_bound(space: ModelSpace, q: int, case: BoundCase | str) -> LowerBound:
     n = space.dim
     case, coeff = _reading(case, n, q)
     value = _finite(float(coeff) * q * (n - q) * space.lam, space)
-    return LowerBound(case=case, n=n, q=q, coefficient=coeff, value=value)
+    return LowerBound(case=case, coefficient=coeff, value=value)
 
 
 def einstein_lower_bound(space: ModelSpace) -> float:
@@ -221,15 +219,6 @@ DEFAULT_CHECK_PAIRS: tuple[tuple[str, str], ...] = tuple(
     (space, focal) for space, focal, form in DEFAULT_TABLE_ROWS if isinstance(form, Fraction))
 
 
-@dataclass(frozen=True)
-class Table1Report:
-    rows: tuple[TableRow, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
 _CONFIRMED = {"finite": "Reproduced", "divergent": "DivergenceConfirmed",
               "not-computable": "NotComputable"}
 
@@ -256,9 +245,8 @@ def table1_report(
     lam: float = 1.0,
     rtol: float = 1e-5,
     quad: Optional[QuadratureConfig] = None,
-    rows: Optional[Sequence[tuple[str, str, object]]] = None,
-) -> Table1Report:
-    """Recompute the reference bending table and compare row by row.
+) -> tuple[TableRow, ...]:
+    """Recompute ``DEFAULT_TABLE_ROWS`` and compare row by row.
 
     Finite rows must match their closed form to relative tolerance
     ``rtol``; rows expected to diverge must be flagged divergent; the two
@@ -267,11 +255,8 @@ def table1_report(
     """
     if not (math.isfinite(rtol) and rtol >= 0):
         raise ValueError("the relative tolerance must be a nonnegative finite number")
-    out = tuple(
-        _table_row(space, focal, form, lam, rtol, quad)
-        for space, focal, form in (rows if rows is not None else DEFAULT_TABLE_ROWS)
-    )
-    return Table1Report(rows=out)
+    return tuple(_table_row(space, focal, form, lam, rtol, quad)
+                 for space, focal, form in DEFAULT_TABLE_ROWS)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ one ``math.fsum`` of them rounds it as ``math.fsum`` of the terms would.
 
 Each block is reduced in one pass, cached on its ``TorsionCoefficients``
 object: the sums, the sigma slack and the largest magnitudes of its parts.
-Every function below reads that pass; ``classify`` applies its tolerance to
-the cached maxima, so nothing cached depends on a tolerance.
+Every function below reads that pass; ``classify`` compares the cached
+maxima with a fixed relative tolerance of 1e-12.
 """
 from __future__ import annotations
 
@@ -281,7 +281,7 @@ def block_mean_curvature_slacks(coeffs: TorsionCoefficients) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class BlockFlags:
-    """Structural classification of the two blocks at the given tolerance."""
+    """Structural classification of the two blocks."""
 
     v_geodesic: bool
     v_integrable: bool
@@ -291,16 +291,13 @@ class BlockFlags:
     h_umbilical: bool
 
 
-def classify(coeffs: TorsionCoefficients, tol: float = 1e-12) -> BlockFlags:
+def classify(coeffs: TorsionCoefficients) -> BlockFlags:
     """Flag geodesic / integrable / umbilical structure per block.
 
-    The tolerance is relative to the max-magnitude coefficient, so exact
-    zero input classifies as everything at once.  It is applied to the
-    maxima cached on ``coeffs``, so no tolerance is kept there.
+    The tolerance, 1e-12, is relative to the max-magnitude coefficient, so
+    exact zero input classifies as everything at once.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError("tolerance must be finite and nonnegative")
-    limit = 2.0 * (tol * max(b.max_entry for b in coeffs._blocks))
+    limit = 2.0 * (1e-12 * max(b.max_entry for b in coeffs._blocks))
     v, h = [(b.max_sym <= limit, b.max_skew <= limit, b.max_off_sym <= limit and b.max_spread <= limit)
             for b in coeffs._blocks]
     return BlockFlags(*v, *h)

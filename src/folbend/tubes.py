@@ -163,14 +163,12 @@ class TubeProfile:
         theta = _theta(rows)
         return np.array((2.0 * _sigma_2(rows) * theta, theta))
 
-    def samples(self, count: int = 200) -> np.ndarray:
-        """Interior sample table: columns r, alpha per branch, theta."""
+    def samples(self) -> np.ndarray:
+        """Interior sample table at 200 radii: columns r, alpha per branch, theta."""
         global np
-        if count < 2:
-            raise ValueError("need at least two sample points")
         import numpy as np
         with np.errstate(all="ignore"):  # an overflowing density is written as inf
-            r = np.linspace(0.0, self.mu, count + 2)[1:-1]
+            r = np.linspace(0.0, self.mu, 202)[1:-1]
             _, rows = self._rows(r)
             return np.column_stack([r, *(alpha for _, _, alpha in rows), _theta(rows)])
 
@@ -259,9 +257,9 @@ def tube_profile(space: ModelSpace, focal: FocalVariety) -> TubeProfile:
     raise ValueError(f"pair ({space.label}, {focal.label}) is outside the tube catalog")
 
 
-def write_profile_csv(profile: TubeProfile, path: str, count: int = 200) -> None:
-    """Write the interior sample table as CSV: r, alpha_1..alpha_B, theta."""
-    table = profile.samples(count)
+def write_profile_csv(profile: TubeProfile, path: str) -> None:
+    """Write the sample table at 200 interior radii as CSV: r, alpha_1..alpha_B, theta."""
+    table = profile.samples()
     header = ["r"] + [f"alpha_{i + 1}" for i in range(len(profile.branches))] + ["theta"]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

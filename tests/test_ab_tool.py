@@ -1,10 +1,12 @@
-"""``tools/ab.py`` run on this checkout against itself.
+"""``tools/ab.py`` run on this checkout against itself, and on bad arguments.
 
 Both sides are the same source, so the tool must exit 0 and report every
-answer identical.  It runs in a child process: it imports each side's
-``folbend`` afresh, which would replace the modules these tests hold.
+answer identical; a bad argument is a usage error, exit 2.  It runs in a
+child process: it imports each side's ``folbend`` afresh, which would
+replace the modules these tests hold.
 """
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +67,33 @@ def test_a_reader_that_closes_early_ends_the_run_quietly():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=120) == 0, stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("workload", ["tube_sweep", "splitting_algebra", "cli_sessions"])
+def test_a_checkout_without_folbend_is_a_usage_error(workload, tmp_path):
+    # With this checkout's src on PYTHONPATH, as in the tier-1 command, an
+    # empty directory once ran this checkout's folbend as its side and
+    # reported identical answers.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for sides in ((ROOT, tmp_path), (tmp_path / "missing", ROOT)):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "ab.py"), workload, *map(str, sides),
+             "--seeds", "1", "--requests", "1"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert "holds no src/folbend/__init__.py" in proc.stderr
+
+
+@pytest.mark.parametrize("requests", ["0", "-5", "2.5"])
+def test_requests_must_be_a_positive_integer(requests):
+    # 0 once ran the default 3000 requests, and -5 ended in a traceback.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "splitting_algebra", str(ROOT),
+         str(ROOT), "--requests", requests],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "argument --requests: must be a positive integer" in proc.stderr

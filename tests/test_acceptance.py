@@ -49,8 +49,7 @@ def report(n, failures):
 
 def test_acceptance_1_reference_table_reproduced():
     failures = []
-    rep = table1_report(rtol=1e-5, quad=TIGHT)
-    for row in rep.rows:
+    for row in table1_report(rtol=1e-5, quad=TIGHT):
         if row.kind == "finite" and row.status != "Reproduced":
             failures.append(f"{row.space}/{row.focal} missed its closed form")
     report(1, failures)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from folbend import bounds
 from folbend.bounds import (
     DEFAULT_CHECK_PAIRS,
     DEFAULT_TABLE_ROWS,
@@ -226,10 +227,10 @@ class TestIntegralFormula:
 
 class TestTableReport:
     def test_default_table_reproduces(self):
-        report = table1_report(quad=TIGHT)
-        assert report.all_ok
-        assert len(report.rows) == len(DEFAULT_TABLE_ROWS) == 19
-        statuses = {row.status for row in report.rows}
+        rows = table1_report(quad=TIGHT)
+        assert all(row.ok for row in rows)
+        assert len(rows) == len(DEFAULT_TABLE_ROWS) == 19
+        statuses = {row.status for row in rows}
         assert statuses == {"Reproduced", "DivergenceConfirmed", "NotComputable"}
 
     @pytest.mark.parametrize("space,focal,form", DEFAULT_TABLE_ROWS,
@@ -243,8 +244,7 @@ class TestTableReport:
             assert verdict == form
 
     def test_row_contents(self):
-        report = table1_report(quad=TIGHT)
-        by_key = {(r.space, r.focal): r for r in report.rows}
+        by_key = {(r.space, r.focal): r for r in table1_report(quad=TIGHT)}
         finite = by_key[("CaP2", "point")]
         assert finite.closed_form == Fraction(139, 21)
         assert finite.relative_error <= 1e-5
@@ -255,27 +255,30 @@ class TestTableReport:
         assert nc.status == "NotComputable"
 
     def test_scaled_curvature(self):
-        report = table1_report(lam=2.0, quad=TIGHT)
-        assert report.all_ok
-        row = {(r.space, r.focal): r for r in report.rows}[("S:5", "sub:S:2")]
+        rows = table1_report(lam=2.0, quad=TIGHT)
+        assert all(row.ok for row in rows)
+        row = {(r.space, r.focal): r for r in rows}[("S:5", "sub:S:2")]
         assert row.expected == pytest.approx(12.0)
 
-    def test_wrong_closed_form_fails(self):
-        report = table1_report(quad=TIGHT, rows=[("S:3", "point", Fraction(2))])
-        assert not report.all_ok
-        assert report.rows[0].status == "Failed"
+    # A wrong row is put into the table in place of the reference rows.
+    def test_wrong_closed_form_fails(self, monkeypatch):
+        monkeypatch.setattr(bounds, "DEFAULT_TABLE_ROWS", (("S:3", "point", Fraction(2)),))
+        (row,) = table1_report(quad=TIGHT)
+        assert not row.ok
+        assert row.status == "Failed"
 
-    def test_wrong_verdict_fails(self):
-        report = table1_report(quad=TIGHT, rows=[("S:3", "point", "divergent")])
-        assert report.rows[0].status == "Failed"
-        report = table1_report(quad=TIGHT, rows=[("S:3", "point", "not-computable")])
-        assert report.rows[0].status == "Failed"
-        assert report.rows[0].computed == pytest.approx(1.0, rel=1e-9)
+    def test_wrong_verdict_fails(self, monkeypatch):
+        monkeypatch.setattr(bounds, "DEFAULT_TABLE_ROWS", (("S:3", "point", "divergent"),
+                                                           ("S:3", "point", "not-computable")))
+        rows = table1_report(quad=TIGHT)
+        assert [row.status for row in rows] == ["Failed", "Failed"]
+        assert rows[1].computed == pytest.approx(1.0, rel=1e-9)
 
-    def test_unexpectedly_not_computable_row_fails(self):
-        report = table1_report(quad=TIGHT, rows=[("CP:2", "sub:RP:2", "divergent")])
-        assert report.rows[0].status == "Failed"
-        assert report.rows[0].computed is None
+    def test_unexpectedly_not_computable_row_fails(self, monkeypatch):
+        monkeypatch.setattr(bounds, "DEFAULT_TABLE_ROWS", (("CP:2", "sub:RP:2", "divergent"),))
+        (row,) = table1_report(quad=TIGHT)
+        assert row.status == "Failed"
+        assert row.computed is None
 
     def test_rejects_bad_curvature(self):
         for lam in (0.0, -1.0, math.inf):

@@ -37,8 +37,7 @@ PUBLIC = {
     "bounds": {
         "BoundCase", "LowerBound", "lower_bound", "einstein_lower_bound",
         "IntegralCheckResult", "integral_formula_check", "DEFAULT_CHECK_PAIRS", "TableRow",
-        "Table1Report", "DEFAULT_TABLE_ROWS", "table1_report", "MinimizerReport",
-        "minimizer_report",
+        "DEFAULT_TABLE_ROWS", "table1_report", "MinimizerReport", "minimizer_report",
     },
 }
 LIBRARY_MODULES = tuple(PUBLIC)
@@ -69,15 +68,26 @@ def test_public_names_are_pinned(name):
 
 
 def test_only_what_a_caller_needs():
-    # A profile evaluates its primitives and the two integrands; the minimizer
-    # decides attainment by its bar; Table 1's report is its rows; main handles
-    # no NotComputableError, which every command answers or turns into a usage
-    # error itself; and one helper states the normal-float range.
-    from folbend import bounds, cli, tubes
+    # A profile evaluates its primitives and the two integrands at fixed
+    # sample radii; the minimizer decides attainment by its bar; classify has
+    # one fixed tolerance; Table 1's report is the tuple of its reference rows;
+    # a bound does not echo n and q; main handles no NotComputableError, which
+    # every command answers or turns into a usage error itself; and one helper
+    # states the normal-float range.
+    from folbend import bounds, cli, torsion, tubes
+
+    def parameters(function):
+        return set(inspect.signature(function).parameters)
 
     assert not {"sum_alpha", "second_mean_curvature"} & set(dir(tubes.TubeProfile))
-    assert "tol" not in inspect.signature(bounds.minimizer_report).parameters
-    assert [f.name for f in dataclasses.fields(bounds.Table1Report)] == ["rows"]
+    assert "tol" not in parameters(bounds.minimizer_report)
+    assert parameters(torsion.classify) == {"coeffs"}
+    assert parameters(tubes.TubeProfile.samples) == {"self"}
+    assert parameters(tubes.write_profile_csv) == {"profile", "path"}
+    assert parameters(bounds.table1_report) == {"lam", "rtol", "quad"}
+    assert not hasattr(bounds, "Table1Report")
+    assert [f.name for f in dataclasses.fields(bounds.LowerBound)] == [
+        "case", "coefficient", "value"]
     assert not hasattr(bounds, "_VERDICT_KIND")
     assert "NotComputableError" not in inspect.getsource(cli.main)
     assert sum(path.read_text().count("float_info.min") for path in SOURCES) == 1

@@ -351,7 +351,7 @@ class TestCatalog:
         prof = tube_profile(parse_space("CP:3"), parse_focal("sub:CP:1"))
         before = dict(vars(prof))
         r = np.linspace(0.1, 1.4, 7)
-        prof.theta(r), prof.bending_rows(r), prof.identity_rows(r), prof.samples(10)
+        prof.theta(r), prof.bending_rows(r), prof.identity_rows(r), prof.samples()
         assert vars(prof) == before
 
     @pytest.mark.parametrize("space,focal", CATALOG)
@@ -432,18 +432,19 @@ class TestCatalogRejections:
 class TestSamples:
     def test_table_shape_and_interior(self):
         prof = tube_profile(parse_space("CP:2"), POINT)
-        table = prof.samples(50)
-        assert table.shape == (50, 1 + len(prof.branches) + 1)
-        assert table[0, 0] > 0.0
-        assert table[-1, 0] < prof.mu
+        table = prof.samples()
+        # 200 evenly spaced interior radii, k * mu / 201 for k = 1..200.
+        assert table.shape == (200, 1 + len(prof.branches) + 1)
+        assert table[:, 0] == pytest.approx(np.arange(1, 201) * prof.mu / 201, rel=1e-12)
+        assert 0.0 < table[0, 0] and table[-1, 0] < prof.mu
         assert np.all(np.isfinite(table))
 
     def test_csv_export(self, tmp_path):
         prof = tube_profile(parse_space("S:3"), POINT)
         path = tmp_path / "profile.csv"
-        write_profile_csv(prof, str(path), count=10)
+        write_profile_csv(prof, str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r,alpha_1,theta"
-        assert len(lines) == 11
+        assert len(lines) == 201
         first = [float(x) for x in lines[1].split(",")]
         assert first[2] == pytest.approx(math.sin(first[0]) ** 2, rel=1e-12)

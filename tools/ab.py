@@ -4,7 +4,8 @@
     python tools/ab.py cli_sessions BASE CHANGE [--seeds 61] [--requests 200]
     python tools/ab.py splitting_algebra BASE CHANGE [--seeds 1 2] [--requests 3000]
 
-BASE and CHANGE are source checkouts (directories holding ``src/folbend``).
+BASE and CHANGE are source checkouts (directories holding ``src/folbend``);
+each side runs that checkout's ``folbend`` and no other.
 The requests of the workload's stream in ``perfbench/workloads.py`` (read,
 not changed) are served by both sides in turn, the first side alternating
 from one request to the next.  Both sides thus run on the same machine
@@ -32,7 +33,8 @@ exception in process, the standard output of the CLI.  A change that alters
 answers on purpose need not keep that.  The last line is all of it as JSON.
 The exit status is 1 when either side has a HARD cause (an exception, a bad
 exit or a wrong verdict), and 0 otherwise, also when the reader of stdout
-closes it early.
+closes it early.  It is 2 for a usage error: a checkout without
+``src/folbend/__init__.py`` or a ``--requests`` that is not a positive integer.
 """
 from __future__ import annotations
 
@@ -60,18 +62,30 @@ REQUESTS = {"tube_sweep": 3000, "cli_sessions": 200, "splitting_algebra": 3000}
 
 
 def _load(workload: str, checkout: str):
-    """The workload bound to the folbend package of ``checkout``."""
+    """The workload bound to the folbend package of ``checkout``.
+
+    Raises ValueError for a checkout without ``src/folbend``, or whose
+    ``folbend`` is not the one imported: the side would otherwise run
+    whichever ``folbend`` the interpreter finds first.
+    """
+    src = Path(checkout).resolve() / "src"
+    if not (src / "folbend" / "__init__.py").is_file():
+        raise ValueError(f"{checkout} holds no src/folbend/__init__.py")
     if workload == "cli_sessions":
-        return workloads.CliSessions(Path(checkout).resolve())
+        return workloads.CliSessions(src.parent)
 
     def forget():
         for name in [m for m in sys.modules if m == "folbend" or m.startswith("folbend.")]:
             del sys.modules[name]
 
     forget()
-    sys.path.insert(0, str(Path(checkout) / "src"))
+    sys.path.insert(0, str(src))
     try:
-        return WORKLOADS[workload]()
+        wl = WORKLOADS[workload]()
+        imported = Path(sys.modules["folbend"].__file__).resolve()
+        if not imported.is_relative_to(src):
+            raise ValueError(f"{checkout}: folbend was imported from {imported}")
+        return wl
     finally:
         sys.path.pop(0)
         forget()
@@ -182,16 +196,26 @@ def _line(res: dict) -> str:
     return line
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("base")
     parser.add_argument("change")
     parser.add_argument("--seeds", type=int, nargs="+", default=[11])
-    parser.add_argument("--requests", type=int, help="per seed; 3000 in process, 200 for the CLI")
+    parser.add_argument("--requests", type=_positive,
+                        help="per seed; 3000 in process, 200 for the CLI")
     args = parser.parse_args(argv)
     n = args.requests or REQUESTS[args.workload]
-    sides = (_load(args.workload, args.base), _load(args.workload, args.change))
+    try:
+        sides = (_load(args.workload, args.base), _load(args.workload, args.change))
+    except ValueError as exc:
+        parser.error(str(exc))
     results = []
     try:
         for seed in args.seeds:
