@@ -1,4 +1,4 @@
-"""Total bending and energy of the cataloged singular foliations.
+"""Total bending of the cataloged singular foliations.
 
 The bending of a radial or tubular foliation reduces to one-dimensional
 integrals over the tube radius: with branch principal curvatures alpha_a
@@ -10,8 +10,7 @@ of multiplicity m_a and density theta,
 with the same (usually symbolic) constant c in both, so the ratio B/Vol is
 always well defined; absolute values are reported only where the catalog
 pins c (geodesic spheres around points of S^m and RP^m), as long as c and
-Vol are normal floats and B is one or 0.  The energy of the orthogonal unit
-vector field is E = (n/2) Vol + B.
+Vol are normal floats and B is one or 0.
 
 Divergence of the bending integral at either end of (0, mu) is decided
 by the exact endpoint orders of the tube profile and reported as a
@@ -34,12 +33,10 @@ from .tubes import JacobiBranch, TubeProfile, tube_profile
 __all__ = [
     "BendingResult",
     "TorusResult",
-    "EnergyResult",
     "total_bending",
     "epsilon_deformed_bending",
     "torus_bending",
     "complex_radial_bending",
-    "energy",
 ]
 
 @dataclass(frozen=True)
@@ -77,16 +74,6 @@ class TorusResult:
     error_estimate: float
     upper_bound: float
     area_weighted: bool
-
-
-@dataclass(frozen=True)
-class EnergyResult:
-    """Energy E = (n/2) Vol + B of the unit normal field of a foliation."""
-
-    status: str
-    per_volume: Optional[float]
-    absolute: Optional[float]
-    bending: BendingResult
 
 
 def _per_volume(
@@ -253,23 +240,3 @@ def complex_radial_bending(
     return BendingResult(status="finite", value_per_volume=2.0 * prof.space.lam,
                          error_estimate=0.0, mu=prof.mu, branches=prof.branches)
 
-
-def energy(bending: BendingResult, n: int) -> EnergyResult:
-    """Energy of the orthogonal unit field, E = (n/2) Vol + B, from the
-    bending result of a foliation of an n-dimensional space.
-
-    Per unit volume this is n/2 + B/Vol; the absolute value is filled in
-    where the bending result carries an absolute volume and the sum is a
-    normal float.  The torus variant is not supported because its quoted
-    bending integral is not volume-normalized.
-    """
-    if not isinstance(bending, BendingResult):
-        raise TypeError("energy is defined for the volume-normalized bending results")
-    if not bending.is_finite:
-        return EnergyResult("divergent", None, None, bending)
-    per_volume = n / 2.0 + bending.value_per_volume
-    absolute = None
-    if bending.value is not None and bending.volume is not None:
-        total = n / 2.0 * bending.volume + bending.value
-        absolute = total if _normal(total) else None
-    return EnergyResult("finite", per_volume, absolute, bending)

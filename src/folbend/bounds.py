@@ -11,7 +11,8 @@ where the table ``_CASES`` gives each case its condition and coefficient:
 I (q = 1) and I' (q = n - 1) have 1/(2(n-2)), II (2q = n) 1/(n-2), III-
 (q <= n-2) 1/(2(n-q-1)) and III+ (q >= 2) 1/(2(q-1)).  The paper's labels
 I and III resolve to the reading whose condition holds; where both
-readings of III hold, the larger coefficient wins, and III- wins a tie.
+readings of III hold, the smaller coefficient 1/(2 max(q-1, n-q-1)) applies
+(III- on a tie), which Walczak's integral formula gives with 2 mu <= (d-1) sigma.
 The product q*(n-q)*lam is used verbatim even on spaces whose
 invariant-subspace dimensions would constrain q, so on the projective
 families the bound is valid but not sharp; ``einstein_lower_bound`` gives
@@ -84,7 +85,7 @@ _CASES = {
 
 def _reading(case, n: int, q: int) -> tuple[BoundCase, Fraction]:
     """The case a label, a ``BoundCase`` or its value names at (n, q), and its
-    coefficient: of the readings that hold, the largest, the first on a tie."""
+    coefficient: of the readings that hold, the smallest, the first on a tie."""
     if n < 3:
         raise ValueError("the bending bounds need ambient dimension >= 3")
     if not isinstance(q, int) or not (1 <= q <= n - 1):
@@ -94,7 +95,7 @@ def _reading(case, n: int, q: int) -> tuple[BoundCase, Fraction]:
     if not held:
         raise ValueError(f"case {getattr(case, 'value', case)} requires "
                          + " or ".join(_CASES[c][1] for c in readings))
-    return max(held, key=lambda pair: pair[1])
+    return min(held, key=lambda pair: pair[1])
 
 
 def _finite(value: float, space: ModelSpace, what: str = "bound") -> float:

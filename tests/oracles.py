@@ -324,8 +324,8 @@ def label_reading(label, n, q):
     the command line used before the library resolved labels itself."""
     if label == "I":
         return "I" if q == 1 else "I'"
-    # III: the valid reading, preferring the one tuned to the smaller side
-    if q <= n - 2 and (q < 2 or n - q <= q):
+    # III: the valid reading with the smaller coefficient, III- on a tie
+    if q <= n - 2 and (q < 2 or 2 * q <= n):
         return "III-"
     return "III+"
 
@@ -335,7 +335,7 @@ def exact_bounds(space, q, case):
     the coefficient of q (n - q) lam, and the case-I coefficient 1/(2(n - 2))
     times Ric / lam = n - 1 + 3 nu, as Fractions.  The coefficient is None where
     the command must exit 2: n < 3, q outside [1, n - 1], or no reading of the
-    case holds.  Of the readings that hold, the largest coefficient counts."""
+    case holds.  Of the readings that hold, the smallest coefficient counts."""
     _, _, n, nu = _family(space)
     if n < 3:
         return n, None, None
@@ -344,4 +344,4 @@ def exact_bounds(space, q, case):
     readings["I"] = [(q == 1, 2 * (n - 2))] + readings["I'"]
     readings["III"] = readings["III-"] + readings["III+"]
     held = [Fraction(1, d) for holds, d in readings[case] if holds and 1 <= q <= n - 1]
-    return n, max(held, default=None), Fraction(n - 1 + 3 * nu, 2 * (n - 2))
+    return n, min(held, default=None), Fraction(n - 1 + 3 * nu, 2 * (n - 2))

@@ -57,15 +57,15 @@ def test_cli_sessions_reports_child_cpu_by_command():
 def test_a_reader_that_closes_early_ends_the_run_quietly():
     # As in ``tools/ab.py ... | head -1``: the pipe closes after the first
     # seed's line, so a later line cannot be written.
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, str(ROOT / "tools" / "ab.py"), "splitting_algebra", str(ROOT),
          str(ROOT), "--seeds", "1", "2", "3", "--requests", "40"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    assert proc.stdout.readline().startswith("splitting_algebra seed 1: ")
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0, stderr
+    ) as proc:
+        assert proc.stdout.readline().startswith("splitting_algebra seed 1: ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr
     assert "Traceback" not in stderr
 
 

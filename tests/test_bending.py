@@ -1,4 +1,4 @@
-"""Bending and energy values against hand-derived closed forms.
+"""Bending values against hand-derived closed forms.
 
 Every expected number quoted here was computed by hand from elementary
 antiderivatives (powers of sine and cosine over (0, mu)) before the
@@ -22,7 +22,6 @@ import folbend.bending
 from folbend.bending import (
     BendingResult,
     complex_radial_bending,
-    energy,
     epsilon_deformed_bending,
     torus_bending,
     total_bending,
@@ -225,7 +224,7 @@ class TestEpsilonDeformation:
         res = epsilon_deformed_bending(s3, POINT, 0.0)
         assert res.volume == total_bending(s3, POINT).volume
         assert res.value_per_volume == 0.0
-        assert energy(res, 3).absolute == 1.5 * res.volume
+        assert res.value == 0.0  # so E = (3/2) Vol exactly
 
     @pytest.mark.parametrize("eps", [math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3])
     def test_sphere_window_closed_form(self, eps):
@@ -435,53 +434,37 @@ class TestComplexRadial:
 
 
 class TestEnergy:
-    def test_trivial_deformation_energy_is_half_dimension(self):
-        flat = epsilon_deformed_bending(parse_space("S:4"), POINT, 0.0, TIGHT)
-        res = energy(flat, 4)
-        assert res.per_volume == pytest.approx(2.0)
+    """The energy E = (n/2) Vol + B of the unit normal field, from the B and Vol
+    that a bending result carries."""
 
     def test_round_sphere_absolute_energy(self):
         # S^3 radial: Vol = 2 pi^2, B = 2 pi^2, E = (3/2) Vol + B = 5 pi^2
-        res = energy(total_bending(parse_space("S:3"), POINT, TIGHT), 3)
+        res = total_bending(parse_space("S:3"), POINT, TIGHT)
         assert res.status == "finite"
-        assert res.per_volume == pytest.approx(2.5, rel=1e-10)
-        assert res.bending.volume == pytest.approx(2 * math.pi**2, rel=1e-10)
-        assert res.absolute == pytest.approx(5 * math.pi**2, rel=1e-10)
+        assert res.volume == pytest.approx(2 * math.pi**2, rel=1e-10)
+        assert res.value == pytest.approx(2 * math.pi**2, rel=1e-10)
+        assert 1.5 * res.volume + res.value == pytest.approx(5 * math.pi**2, rel=1e-10)
 
     def test_projective_space_has_no_absolute_value(self):
-        res = energy(total_bending(parse_space("CP:3"), parse_focal("sub:CP:1"), TIGHT), 6)
-        assert res.per_volume == pytest.approx(3.0 + 5.0, rel=1e-9)
-        assert res.absolute is None
+        res = total_bending(parse_space("CP:3"), parse_focal("sub:CP:1"), TIGHT)
+        assert res.value_per_volume == pytest.approx(5.0, rel=1e-9)
+        assert (res.value, res.volume) == (None, None)
 
     @pytest.mark.parametrize("space,lam", [
         ("S:3", 4.818305117709074e-206), ("RP:3", 3.0e-206), ("S:4", 9.9e-155),
         ("S:7", 8.6e-89), ("S:12", 4.1e-52)])
     def test_no_absolute_value_past_the_float_range(self, space, lam):
         # The volume integral is finite but the area constant times it is not.
-        res = energy(total_bending(parse_space(space, lam), POINT), parse_space(space).dim)
-        assert res.bending.value_per_volume == pytest.approx(exact_bending(space, "point")[1] * lam)
-        assert (res.bending.value, res.bending.volume, res.absolute) == (None, None, None)
+        res = total_bending(parse_space(space, lam), POINT)
+        assert res.value_per_volume == pytest.approx(exact_bending(space, "point")[1] * lam)
+        assert (res.value, res.volume) == (None, None)
 
     def test_no_absolute_energy_past_the_float_range(self):
         # Vol (about 1.797e308) and B are normal floats, but (n/2) Vol + B is not.
-        res = energy(total_bending(parse_space("S:12", 6.355e-52), POINT), 12)
-        assert res.bending.volume is not None and res.bending.value is not None
-        assert res.per_volume == pytest.approx(6.0 + 11.0 / 20.0 * 6.355e-52)
-        assert res.absolute is None
-
-    def test_complex_radial_energy(self):
-        res = energy(complex_radial_bending(2, 1.0, TIGHT), 4)
-        assert res.per_volume == pytest.approx(2.0 + 2.0, rel=1e-9)
-
-    def test_divergent_energy_reports_verdict(self):
-        res = energy(total_bending(parse_space("S:2"), POINT, TIGHT), 2)
-        assert res.status == "divergent"
-        assert res.per_volume is None
-        assert res.bending.divergent_endpoint == "both"
-
-    def test_torus_energy_unsupported(self):
-        with pytest.raises(TypeError):
-            energy(torus_bending(2.0, 1.0), 3)
+        res = total_bending(parse_space("S:12", 6.355e-52), POINT)
+        assert sys.float_info.min <= res.value < res.volume <= sys.float_info.max
+        assert res.value_per_volume == pytest.approx(11.0 / 20.0 * 6.355e-52)
+        assert 6.0 * res.volume + res.value == math.inf
 
 
 @st.composite

@@ -20,7 +20,7 @@ from folbend.bounds import (
 )
 from folbend.quadrature import QuadratureConfig, UndecidedError
 from folbend.spaces import parse_focal, parse_space, ricci_curvature
-from oracles import BOUND_SPACES, exact_bending, label_reading, ricci_per_lam
+from oracles import BOUND_SPACES, catalog_labels, exact_bending, label_reading, ricci_per_lam
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -341,3 +341,26 @@ def test_every_minimizer_space_is_cataloged():
     for label in ("S:3", "S:6", "RP:3", "RP:5", "CP:2", "CP:4", "HP:2", "HP:3", "CaP2"):
         rep = minimizer_report(parse_space(label))
         assert rep.bound.value > 0
+
+
+def test_no_catalog_foliation_is_below_a_bare_label_bound():
+    # Every finite tube pair is a foliation by hypersurfaces (q = n - 1) with
+    # the exact B/Vol of the oracle, and the complex radial foliation of CP^m
+    # has q = 2 and B/Vol = 2 lam; at lam = 1 no bound I, II or III that has a
+    # reading at that q may exceed it.
+    foliations = [(space, parse_space(space).dim - 1, exact_bending(space, focal)[1])
+                  for space, focal in catalog_labels(60)
+                  if exact_bending(space, focal)[0] == "finite"]
+    foliations += [(f"CP:{m}", 2, Fraction(2)) for m in range(2, 31)]
+    below, checked = [], set()
+    for space, q, ratio in foliations:
+        for label in ("I", "II", "III"):
+            try:
+                bound = lower_bound(parse_space(space), q, label)
+            except ValueError:  # no reading of the label at this q, or n < 3
+                continue
+            checked.add(label)
+            if bound.coefficient * q * (parse_space(space).dim - q) > ratio:
+                below.append((space, q, label, bound.case.value, ratio))
+    assert checked == {"I", "II", "III"}
+    assert below == []

@@ -774,7 +774,6 @@ def _results():
     yield bending.torus_bending(2.0, 1.0)
     yield bending.torus_bending(2.0, 1.0, area_weighted=True)
     yield bending.complex_radial_bending(3)
-    yield bending.energy(bending.total_bending(s3, point), 3)
     yield bounds.lower_bound(parse_space("CP:3", 2.5), 3, "III")
     yield bounds.integral_formula_check(s3, point)
     yield bounds.table1_report()

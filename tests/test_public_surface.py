@@ -2,6 +2,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import types
 from pathlib import Path
@@ -31,8 +32,8 @@ PUBLIC = {
         "write_profile_csv",
     },
     "bending": {
-        "BendingResult", "TorusResult", "EnergyResult", "total_bending",
-        "epsilon_deformed_bending", "torus_bending", "complex_radial_bending", "energy",
+        "BendingResult", "TorusResult", "total_bending", "epsilon_deformed_bending",
+        "torus_bending", "complex_radial_bending",
     },
     "bounds": {
         "BoundCase", "LowerBound", "lower_bound", "einstein_lower_bound",
@@ -42,6 +43,12 @@ PUBLIC = {
 }
 LIBRARY_MODULES = tuple(PUBLIC)
 SOURCES = sorted(Path(folbend.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# Code that calls the library: the library itself, the benchmark, the tools
+# and the demos, without their tests.
+CALLERS = sorted(path for folder in ("src/folbend", "perfbench", "tools", "demos")
+                 for path in (ROOT / folder).rglob("*.py")
+                 if "tests" not in path.relative_to(ROOT).parts)
 
 
 def test_package_holds_only_its_version():
@@ -91,6 +98,39 @@ def test_only_what_a_caller_needs():
     assert not hasattr(bounds, "_VERDICT_KIND")
     assert "NotComputableError" not in inspect.getsource(cli.main)
     assert sum(path.read_text().count("float_info.min") for path in SOURCES) == 1
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads, reads as an attribute, or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that nothing outside the tests reaches is dead code.  The
+    # benchmark's tracer resolves its layer functions by string, which counts.
+    spec = importlib.util.spec_from_file_location("benchmark_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    reached = set().union(*(referenced_names(path.read_text()) for path in CALLERS))
+    reached |= {name for names in tracer.LAYERS.values() for name in names}
+    uncalled = [f"{module}.{name}" for module in LIBRARY_MODULES
+                for name in importlib.import_module(f"folbend.{module}").__all__
+                if name not in reached]
+    assert uncalled == []
+
+
+def test_caller_check_sees_every_kind_of_reference():
+    source = "import a.b\nfrom c import d as e\nf.g(h)\ni = 1\n"
+    assert referenced_names(source) == {"b", "d", "f", "g", "h"}
 
 
 def unused_imports(source: str) -> list[str]:
