@@ -95,7 +95,7 @@ def _not_computable(label: str, exc: NotComputableError):
 
 
 _CSV_COLUMNS = ("space", "focal", "lambda", "status", "value_per_volume",
-                "error_estimate", "divergent_endpoint", "exponent_estimate")
+                "error_estimate", "divergent_endpoint", "exponent_estimate", "epsilon")
 
 
 def _csv_cell(value) -> str:

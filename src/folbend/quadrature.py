@@ -44,13 +44,15 @@ shape (N,), elementwise, or for ``ratio_quadrature`` to two such rows,
 shape (2, N).  One call covers many panels, 15 nodes each: both endpoint
 ladders of ``integrate_open``, which leaves the interval between them to
 ``adaptive_quadrature``; the starting panels and ``_LOOKAHEAD`` generations
-of their bisections; or those generations below a bisected panel.  So
-panels may be evaluated before they are needed, or never be needed.  A
-non-finite value raises ValueError, naming the first such panel, only in a
-panel the result uses.  A panel sum that overflows before the half-width
-scales it is taken again at 2**-4 scale, exactly, so values near the float
-maximum keep a representable integral.  A summed value or error that
-overflows raises UndecidedError: never a number.
+of their bisections; or, when a panel to bisect has no evaluated halves,
+those generations below it and below every other panel whose own weighted
+error exceeds the tolerance.  So panels may be evaluated before they are
+needed, or never be needed.  A non-finite value raises ValueError, naming
+the first such panel, only in a panel the result uses.  A panel sum that
+overflows before the half-width scales it is taken again at 2**-4 scale,
+exactly, so values near the float maximum keep a representable integral.
+A summed value or error that overflows raises UndecidedError: never a
+number.
 
 All reductions happen in a fixed order (panels sorted by position, summed
 with math.fsum), so results do not depend on evaluation order.  Panel rows
@@ -182,12 +184,13 @@ def _gk15(f: Callable, a: Sequence[float], b: Sequence[float]) -> tuple[list, li
         rows = np.ascontiguousarray(y).reshape(-1, 15)
         kron, err = _reduce(rows, half)
         integrals, errors, bad = kron.tolist(), err.tolist(), []
-        # f has one or two rows; all Kronrod weights are positive, so a non-finite value shows here.
-        if not math.isfinite(sum(integrals[0] + integrals[-1] + errors[0] + errors[-1])):
+        # An error is not finite where either sum is not; all Kronrod weights
+        # are positive, so a non-finite value shows here.
+        if not math.isfinite(sum(map(sum, errors))):
             # Rows with a non-finite value count as zeros; overflowing rows are redone at 2**-4.
             finite = np.isfinite(rows).all(axis=1)
             bad = np.flatnonzero(~finite.reshape(-1, lo.size).all(axis=0)).tolist()
-            scale = np.where(np.isfinite(kron + err), 1.0, 2.0 ** -4)
+            scale = np.where(np.isfinite(err), 1.0, 2.0 ** -4)
             kron, err = _reduce(np.where(finite[:, None], rows * scale.reshape(-1, 1), 0.0), half)
             integrals, errors = (kron / scale).tolist(), (err / scale).tolist()
     integrals, errors = (v[0] if y.ndim == 1 else list(zip(*v)) for v in (integrals, errors))
@@ -228,23 +231,24 @@ def _normal(x: float) -> bool:
 
 
 # Generations of bisections below a panel that one integrand call evaluates
-# ahead of need (2 ran faster than 1 or 3 on the bending integrals).
+# ahead of need.  On the bending integrals 2 ran faster than 1 or 3, also with
+# every panel to split in one call: 1 took 1.16x the p99 time, 3 about 1.05x.
 _LOOKAHEAD = 2
 
 
-def _subtree(a: float, b: float) -> tuple[list[float], list[float]]:
-    """Bounds (lows, highs) of [a, b] and of ``_LOOKAHEAD`` generations of bisections below it."""
-    lows, highs = [a], [b]
-    for i in range(2 ** _LOOKAHEAD - 1):
-        mid = 0.5 * (lows[i] + highs[i])
-        lows += (lows[i], mid)
-        highs += (mid, highs[i])
-    return lows, highs
-
-
-def _panels(f: Callable, lows: list[float], highs: list[float], rows: int) -> dict:
-    """(integrals, errors) of the panels of one ``_gk15`` call by their bounds
-    (left, right), as pairs: a one-row integrand's second row is zero."""
+def _panels(f: Callable, roots: list[tuple[float, float]], rows: int, below: bool = False) -> dict:
+    """(integrals, errors) by bounds (left, right), as pairs, of each root panel
+    and ``_LOOKAHEAD`` generations of bisections below it (of those generations
+    only, ``below``), from one ``_gk15`` call: a one-row integrand's second row is zero."""
+    lows, highs = [], []
+    for a, b in roots:
+        lo, hi = [a], [b]
+        for i in range(2 ** _LOOKAHEAD - 1):
+            mid = 0.5 * (lo[i] + hi[i])
+            lo += (lo[i], mid)
+            hi += (mid, hi[i])
+        lows += lo[below:]
+        highs += hi[below:]
     integrals, errors = _gk15(f, lows, highs)
     if isinstance(errors[0], tuple) != (rows == 2):
         raise ValueError(f"integrand must return {rows} row(s) of values")
@@ -273,7 +277,7 @@ def adaptive_quadrature(
         if b == a:
             return 0.0, 0.0
         raise ValueError("integration bounds must satisfy a <= b")
-    return _refine(f, [(a, b)], config, _panels(f, *_subtree(a, b), 1), 1)[0]
+    return _refine(f, [(a, b)], config, 1)[0]
 
 
 def ratio_quadrature(
@@ -295,8 +299,7 @@ def ratio_quadrature(
     intervals = list(zip(breakpoints[:-1], breakpoints[1:]))
     if not intervals or not all(hi >= lo for lo, hi in intervals):
         raise ValueError("breakpoints must be at least two and nondecreasing")
-    lows, highs = (sum(bounds, []) for bounds in zip(*(_subtree(*iv) for iv in intervals)))
-    (num, num_err), (den, den_err) = _refine(f, intervals, config, _panels(f, lows, highs, 2), 2)
+    (num, num_err), (den, den_err) = _refine(f, intervals, config, 2)
     if not _normal(den):
         raise UndecidedError(f"the denominator integral {den!r} over [{breakpoints[0]}, "
                              f"{breakpoints[-1]}] is not a positive normal float")
@@ -306,14 +309,18 @@ def ratio_quadrature(
 
 
 def _refine(f: Callable, intervals: list[tuple[float, float]], config: QuadratureConfig,
-            known: dict, rows: int) -> list[tuple[float, float]]:
-    """The bisection loop: (integral, error) of each row over ``intervals``,
-    from those panels; ``known`` holds the (integrals, errors) pairs of them
-    and of panels evaluated ahead.  A panel weighs e_0 + w e_1: w as in
-    ``ratio_quadrature`` for two rows, 0 for the zero second row of one."""
+            rows: int) -> list[tuple[float, float]]:
+    """The bisection loop: (integral, error) of each row over ``intervals``.
+    A panel weighs e_0 + w e_1: w as in ``ratio_quadrature`` for two rows, 0
+    for the zero second row of one.  ``known`` holds the panels evaluated
+    ahead of need (module docstring): a bisection whose halves are not known
+    evaluates the generations below its panel, and below every panel whose
+    own weight exceeds the tolerance, in one call, since those will almost
+    surely be bisected too."""
     rel, absol = config.rel_tol, config.abs_tol
     a, b = intervals[0][0], intervals[-1][1]
     width_floor = (b - a) * 2.0 ** (-MAX_DEPTH)
+    known = _panels(f, intervals, rows)
     # Heap entries: (-weighted error, tiebreak, left, right, integrals, errors).
     heap = [(0.0, tick, pa, pb, *known.pop((pa, pb))) for tick, (pa, pb) in enumerate(intervals)]
     bad = next((entry for entry in heap if entry[4] is None), None)
@@ -321,9 +328,16 @@ def _refine(f: Callable, intervals: list[tuple[float, float]], config: Quadratur
         raise _not_finite(bad[2], bad[3])
     tick = len(heap)
 
-    def totals():  # integrals, errors and absolute integrals over the heap
-        return [[sum(e[j][i] for e in heap) for i in (0, 1)] for j in (4, 5)] + [
-            [sum(abs(e[4][i]) for e in heap) for i in (0, 1)]]
+    def totals():  # integrals, errors and absolute integrals over the heap, summed in heap order
+        v0 = v1 = e0 = e1 = s0 = s1 = 0.0
+        for _, _, _, _, (x0, x1), (y0, y1) in heap:
+            v0 += x0
+            v1 += x1
+            e0 += y0
+            e1 += y1
+            s0 += abs(x0)
+            s1 += abs(x1)
+        return (v0, v1), (e0, e1), (s0, s1)
 
     def scales():  # the target of the tolerance, its denominator, and w
         if rows == 1:
@@ -331,9 +345,8 @@ def _refine(f: Callable, intervals: list[tuple[float, float]], config: Quadratur
         ratio = v0 / v1 if v1 else math.nan
         return ratio, abs(v1), max(abs(ratio), absol / rel)
 
-    def unmet():  # the summed error estimates miss the tolerance
-        return e0 + w * e1 > max(den * absol, den * (rel * abs(target)),
-                                 32.0 * _EPS * (s0 + w * s1))
+    def tolerance():
+        return max(den * absol, den * (rel * abs(target)), 32.0 * _EPS * (s0 + w * s1))
 
     (v0, v1), (e0, e1), (s0, s1) = totals()
     target, den, w = scales()
@@ -342,12 +355,12 @@ def _refine(f: Callable, intervals: list[tuple[float, float]], config: Quadratur
 
     while True:
         # Stop only if a recount agrees: bisecting a dwarfing panel cancels running totals.
-        if not unmet():
+        if not e0 + w * e1 > tolerance():
             (v0, v1), (e0, e1), (s0, s1) = totals()
             target, den, w = scales()
-            if not unmet():
+            if not e0 + w * e1 > tolerance():
                 break
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        _, _, pa, pb, (p0, p1), (q0, q1) = heapq.heappop(heap)
         if (pb - pa <= width_floor and pb - pa <= 8.0 * _EPS * max(abs(pa), abs(pb))
                 or len(heap) + 2 > MAX_PANELS):
             raise UndecidedError(
@@ -355,20 +368,25 @@ def _refine(f: Callable, intervals: list[tuple[float, float]], config: Quadratur
                 f"(residual error {e0 + w * e1:.3e} on [{a}, {b}])"
             )
         mid = 0.5 * (pa + pb)
-        if (pa, mid) not in known:  # evaluate the generations below this panel
-            lows, highs = _subtree(pa, pb)
-            known.update(_panels(f, lows[1:], highs[1:], rows))
-        (x, ex), (y, ey) = known.pop((pa, mid)), known.pop((mid, pb))
+        left = known.pop((pa, mid), None)
+        if left is None:  # one call for every panel that must be split
+            limit = -tolerance()  # heap keys are negated weights
+            roots = [(pa, pb)] + [(e[2], e[3]) for e in heap
+                                  if e[0] < limit and (e[2], 0.5 * (e[2] + e[3])) not in known]
+            known.update(_panels(f, roots, rows, below=True))
+            left = known.pop((pa, mid))
+        (x, ex), (y, ey) = left, known.pop((mid, pb))
         if x is None or y is None:
             raise _not_finite(pa, mid) if x is None else _not_finite(mid, pb)
-        v0 += (x[0] + y[0]) - pval[0]
-        v1 += (x[1] + y[1]) - pval[1]
-        e0 += (ex[0] + ey[0]) - perr[0]
-        e1 += (ex[1] + ey[1]) - perr[1]
-        s0 += abs(x[0]) + abs(y[0]) - abs(pval[0])
-        s1 += abs(x[1]) + abs(y[1]) - abs(pval[1])
-        heapq.heappush(heap, (-(ex[0] + w * ex[1]), tick, pa, mid, x, ex))
-        heapq.heappush(heap, (-(ey[0] + w * ey[1]), tick + 1, mid, pb, y, ey))
+        (x0, x1), (y0, y1), (ex0, ex1), (ey0, ey1) = x, y, ex, ey
+        v0 += (x0 + y0) - p0
+        v1 += (x1 + y1) - p1
+        e0 += (ex0 + ey0) - q0
+        e1 += (ex1 + ey1) - q1
+        s0 += abs(x0) + abs(y0) - abs(p0)
+        s1 += abs(x1) + abs(y1) - abs(p1)
+        heapq.heappush(heap, (-(ex0 + w * ex1), tick, pa, mid, x, ex))
+        heapq.heappush(heap, (-(ey0 + w * ey1), tick + 1, mid, pb, y, ey))
         tick += 2
         target, den, w = scales()
 

@@ -96,11 +96,13 @@ def _checked(value, error, a, b):
     return value, error
 
 
-def _reference_refine(f, intervals, config, log, rows):
+def _reference_refine(f, intervals, config, log, rows, steps=None):
     """The refinement of ``adaptive_quadrature`` (one row) or ``ratio_quadrature``
     (two rows) with one integrand call per panel, each panel evaluated only when
     the refinement uses it: [(value, error)] per row.  ``log`` collects the
-    kernel's (value, error) by panel bounds."""
+    kernel's (value, error) by panel bounds, and ``steps`` one entry per
+    bisection: (the bounds of the bisected panel, the tolerance, and the
+    (weight, left, right) of every other panel in the heap)."""
     config = config or quadrature.QuadratureConfig()
     rel, absol = config.rel_tol, config.abs_tol
 
@@ -118,10 +120,14 @@ def _reference_refine(f, intervals, config, log, rows):
         ratio = v[0] / v[1] if v[1] else math.nan
         return ratio, abs(v[1]), max(abs(ratio), absol / rel)
 
-    def totals(heap):
-        return ([sum(e[4][i] for e in heap) for i in (0, 1)],
-                [sum(e[5][i] for e in heap) for i in (0, 1)],
-                [sum(abs(e[4][i]) for e in heap) for i in (0, 1)])
+    def totals(heap):  # plain additions in heap order, as the library's recount
+        v, e, s = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+        for entry in heap:
+            for i in (0, 1):
+                v[i] += entry[4][i]
+                e[i] += entry[5][i]
+                s[i] += abs(entry[4][i])
+        return v, e, s
 
     a, b = intervals[0][0], intervals[-1][1]
     width_floor, eps = (b - a) * 2.0 ** (-quadrature.MAX_DEPTH), quadrature._EPS
@@ -132,9 +138,11 @@ def _reference_refine(f, intervals, config, log, rows):
     heapq.heapify(heap)
     tick = len(heap)
 
+    def tolerance():
+        return max(den * absol, den * (rel * abs(target)), 32.0 * eps * (s[0] + w * s[1]))
+
     def unmet():
-        return e[0] + w * e[1] > max(den * absol, den * (rel * abs(target)),
-                                     32.0 * eps * (s[0] + w * s[1]))
+        return e[0] + w * e[1] > tolerance()
 
     while True:
         if not unmet():  # stop only if a recount from the panels agrees
@@ -148,6 +156,8 @@ def _reference_refine(f, intervals, config, log, rows):
             raise quadrature.UndecidedError(
                 "quadrature did not converge within the refinement budget "
                 f"(residual error {e[0] + w * e[1]:.3e} on [{a}, {b}])")
+        if steps is not None:
+            steps.append(((pa, pb), tolerance(), [(-entry[0], *entry[2:4]) for entry in heap]))
         mid = 0.5 * (pa + pb)
         (x, ex), (y, ey) = panel(pa, mid), panel(mid, pb)
         for i in (0, 1):
@@ -163,20 +173,20 @@ def _reference_refine(f, intervals, config, log, rows):
             for i in range(rows)]
 
 
-def reference_adaptive(f, a, b, config=None, log=None):
+def reference_adaptive(f, a, b, config=None, log=None, steps=None):
     """``adaptive_quadrature`` with one integrand call per panel, each panel
     evaluated only when the refinement uses it.  ``log`` collects
-    (value, error) by panel bounds."""
+    (value, error) by panel bounds, ``steps`` the bisections."""
     if b == a:
         return 0.0, 0.0
-    return _reference_refine(f, [(a, b)], config, log, 1)[0]
+    return _reference_refine(f, [(a, b)], config, log, 1, steps)[0]
 
 
-def reference_ratio(f, breakpoints, config=None, log=None):
+def reference_ratio(f, breakpoints, config=None, log=None, steps=None):
     """``ratio_quadrature`` with one integrand call per panel, each panel
     evaluated only when the refinement uses it."""
     intervals = list(zip(breakpoints[:-1], breakpoints[1:]))
-    (num, num_err), (den, den_err) = _reference_refine(f, intervals, config, log, 2)
+    (num, num_err), (den, den_err) = _reference_refine(f, intervals, config, log, 2, steps)
     if not den >= 2.0 ** -1022:
         raise quadrature.UndecidedError(f"the denominator integral {den!r} over [{breakpoints[0]}, "
                                         f"{breakpoints[-1]}] is not a positive normal float")
@@ -185,7 +195,7 @@ def reference_ratio(f, breakpoints, config=None, log=None):
     return (*_checked(ratio, error, breakpoints[0], breakpoints[-1]), num, den)
 
 
-def reference_open(f, a, b, config=None, log=None):
+def reference_open(f, a, b, config=None, log=None, steps=None):
     """``integrate_open`` with one integrand call per panel: each endpoint
     ladder, then ``reference_adaptive`` on the central interval.  The ladder
     bounds and the exponent fit are the library's own."""
@@ -200,7 +210,7 @@ def reference_open(f, a, b, config=None, log=None):
     lower, upper = scans
     if lower.divergent or upper.divergent:
         return quadrature.OpenResult("divergent", None, None, lower, upper)
-    value, error = reference_adaptive(f, a + window, b - window, config, log)
+    value, error = reference_adaptive(f, a + window, b - window, config, log, steps)
     value, error = _checked(_fsum([lower.value, value, upper.value]),
                             lower.error + error + upper.error, a, b)
     return quadrature.OpenResult("finite", value, error, lower, upper)

@@ -24,15 +24,24 @@ def test_checkout_against_itself(workload):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    (result,) = json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    (result,) = json.loads(lines[-1])
     assert result["workload"] == workload and result["requests"] == 40
     assert result["identical_answers"] is True
     assert result["base"]["causes"] == result["change"]["causes"] == {}
     assert ("calls_per_op" in result["base"]) == (workload == "tube_sweep")
+    assert ("latency_ms_by_kind" in result["base"]) == (workload == "tube_sweep")
     # Nearest-rank p99 of the wall times: at 40 requests rank 40, the slowest.
     for side in ("base", "change"):
         assert max(result[side]["mean_ms"], result[side]["p50_ms"]) <= result[side]["p99_ms"]
+        # The first 40 requests of seed 1 hold every kind; the slowest of all is of one of them.
+        by_kind = result[side].get("latency_ms_by_kind", {})
+        if by_kind:
+            assert set(by_kind) == {"bending", "epsilon", "complex_radial", "torus"}
+            assert all(0 < ms["p50_ms"] <= ms["p99_ms"] for ms in by_kind.values())
+            assert max(ms["p99_ms"] for ms in by_kind.values()) == result[side]["p99_ms"]
     assert result["p99_ms_change_over_base"] == result["change"]["p99_ms"] / result["base"]["p99_ms"]
+    assert lines[1].startswith("  p50 / p99 ms by kind: bending ") == (workload == "tube_sweep")
 
 
 def test_cli_sessions_reports_child_cpu_by_command():

@@ -288,6 +288,14 @@ class TestEpsilonDeformation:
         assert abs(res.value_per_volume - s2_window_at_the_ends(w0, w1)) <= res.error_estimate
         assert res.error_estimate < 1e-4
 
+    def test_window_nearer_the_divergent_ends_exhausts_the_refinement_budget(self):
+        # About 1e-13 from the ends the panels next to the edges reach both the
+        # width floor and the float resolution of their edges before the
+        # tolerance: the refinement stops with its residual, not with a number.
+        with pytest.raises(UndecidedError, match=r"did not converge within the refinement "
+                           r"budget \(residual error 6\.256e-04 on \[0\.0, 3\.141592653589793\]\)"):
+            epsilon_deformed_bending(self.S2, POINT, 1.5707963267948)
+
     def test_edge_term_that_is_not_finite_is_undecided(self):
         # The density at the window's edges is not finite here; the bar with
         # the edge term was NaN, after the quadrature's own finite check.

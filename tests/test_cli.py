@@ -104,6 +104,18 @@ class TestBendingCommand:
         assert fields[0] == "S:4" and fields[3] == "finite"
         assert float(fields[4]) == pytest.approx(0.75, rel=1e-7)
 
+    @pytest.mark.parametrize("epsilon", [None, "0.5"])
+    def test_csv_row_carries_epsilon(self, epsilon, capsys):
+        # The window's row once matched a total-bending row, cell by cell.
+        argv = ["bending", "--space", "S:3", "--focal", "sub:S:2"]
+        argv += ["--epsilon", epsilon] if epsilon else []
+        code, out, _ = run_main(argv + ["--csv"], capsys)
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert list(row)[-1] == "epsilon" and row["epsilon"] == (epsilon or "")
+        _, out, _ = run_main(argv + ["--json"], capsys)
+        assert json.loads(out).get("epsilon") == (float(epsilon) if epsilon else None)
+
     def test_emit_profile(self, tmp_path, capsys):
         target = tmp_path / "profile.csv"
         code, _, _ = run_main(
@@ -141,7 +153,7 @@ class TestBendingCommand:
         assert code == 0
         header, row = out.strip().splitlines()
         assert header.startswith("space,focal,lambda,status,value_per_volume")
-        assert row == "CP:2,sub:RP:2,1.0,not-computable,,,,"
+        assert row == "CP:2,sub:RP:2,1.0,not-computable,,,,,"
 
     def test_profile_of_not_computable_pair_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "nc.csv"

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import folbend.bending
 from folbend import quadrature
+from folbend.bending import total_bending
 from folbend.quadrature import (
     QuadratureConfig,
     UndecidedError,
@@ -12,6 +14,7 @@ from folbend.quadrature import (
     integrate_open,
     ratio_quadrature,
 )
+from folbend.spaces import parse_focal, parse_space
 from oracles import kronrod_panel as _scalar_gk15
 from oracles import reference_adaptive, reference_open, reference_ratio
 
@@ -255,14 +258,44 @@ def _same_panels(log, reference_log):
     return {bounds: log.get(bounds) for bounds in reference_log} == reference_log
 
 
-def _max_later_calls(bisections):
-    """Most integrand calls after the first for this many bisections.
+def _later_calls(intervals, steps, batched=True):
+    """Node counts of the integrand calls after the first, replayed from the
+    reference's bisection ``steps``.
 
-    A call evaluates the two generations below a panel, so only a bisection
-    at an even depth >= 2 makes one, and each such panel needs a bisection
-    at the odd depth above it, which yields two: calls <= 2 (bisections - 1) / 3.
+    The first call evaluates each interval and the two generations below it.
+    A bisection whose halves are not evaluated yet makes a call for the two
+    generations (6 panels, 90 nodes) below that panel and, ``batched``, below
+    every other panel in the heap whose own weight exceeds the tolerance and
+    whose halves are not evaluated either.  Unbatched, one panel per call, a
+    call is made only at a bisection at an even depth >= 2, and each such panel
+    needs a bisection at the odd depth above it, which yields two: at most
+    2 (bisections - 1) / 3 calls.
     """
-    return 2 * max(bisections - 1, 0) // 3
+    known = set()
+
+    def below(lo, hi):
+        mid = 0.5 * (lo + hi)
+        left, right = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        known.update({(lo, mid), (mid, hi), (lo, left), (left, mid), (mid, right), (right, hi)})
+
+    for lo, hi in intervals:
+        below(lo, hi)
+    sizes = []
+    for (lo, hi), tolerance, heap in steps:
+        if (lo, 0.5 * (lo + hi)) not in known:
+            roots = [(lo, hi)] + [(a, b) for weight, a, b in heap if batched and weight > tolerance
+                                  and (a, 0.5 * (a + b)) not in known]
+            for root in roots:
+                below(*root)
+            sizes.append(90 * len(roots))
+    return sizes
+
+
+def _unbatched_calls(intervals, steps):
+    """``_later_calls`` of one panel per call, which meet their bound."""
+    sizes = _later_calls(intervals, steps, batched=False)
+    assert len(sizes) <= 2 * max(len(steps) - 1, 0) // 3
+    return sizes
 
 
 class TestBatchedPanels:
@@ -297,21 +330,63 @@ class TestBatchedPanels:
         assert kron[1] == pytest.approx(1.7e308) and math.isfinite(err[1])
         assert kron[2] is None
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_panel_has_the_same_bits_in_any_call(self, rows):
+        # Each panel of 64 subtrees alone, and inside calls of the first 1 to 64 subtrees.
+        rng = np.random.default_rng(64 + rows)
+        lows = rng.uniform(-3.0, 3.0, 64)
+        roots = list(zip(lows.tolist(), (lows + 10.0 ** rng.uniform(-6.0, 0.5, 64)).tolist()))
+        peak = lambda x: np.exp(np.sin(17.0 * x)) / (x * x + 1e-4)
+        f = peak if rows == 1 else lambda x: np.array((peak(x), np.cos(x)))
+        alone = {}
+        for lo, hi in quadrature._panels(f, roots, rows):
+            (value,), (error,) = quadrature._gk15(f, [lo], [hi])
+            alone[lo, hi] = ((value, 0.0), (error, 0.0)) if rows == 1 else (value, error)
+        for k in range(1, 65):
+            for below in (False, True):
+                panels = quadrature._panels(f, roots[:k], rows, below)
+                assert len(panels) == (6 + (not below)) * k
+                assert panels == {bounds: alone[bounds] for bounds in panels}
+
+    @pytest.mark.parametrize("space, focal, rel_tol, calls", [
+        ("S:60", "point", 1e-10, 2), ("S:200", "point", 1e-10, 3),
+        ("CP:50", "sub:CP:20", 1e-10, 2), ("HP:25", "point", 1e-8, 2), ("S:5", "point", 1e-8, 1)])
+    def test_catalog_answers_take_fewer_calls(self, space, focal, rel_tol, calls, monkeypatch):
+        # One panel per call took 5, 7, 4, 3 and 1 calls for these answers.
+        sizes, steps, breaks = [], [], []
+        kernel = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15",
+                            lambda f, a, b: kernel(lambda x: sizes.append(x.size) or f(x), a, b))
+        args = parse_space(space, 1.0), parse_focal(focal), QuadratureConfig(rel_tol, 1e-12)
+        result = total_bending(*args)
+
+        def reference(f, breakpoints, config):
+            breaks.extend(breakpoints)
+            return reference_ratio(f, breakpoints, config, None, steps)
+
+        monkeypatch.setattr(folbend.bending, "ratio_quadrature", reference)
+        assert total_bending(*args) == result
+        intervals = list(zip(breaks[:-1], breaks[1:]))
+        later = _later_calls(intervals, steps)
+        assert sizes == [105 * len(intervals)] + later and len(sizes) <= calls
+        unbatched = _unbatched_calls(intervals, steps)
+        assert len(later) < len(unbatched) or later == unbatched == []
+
     def test_one_call_per_endpoint_ladder(self, monkeypatch):
         f = _Counting(np.cos)
-        log, reference_log = _recording(monkeypatch), {}
+        log, reference_log, steps = _recording(monkeypatch), {}, []
         res = integrate_open(f, 0.0, 1.0, TIGHT)
-        assert res == reference_open(np.cos, 0.0, 1.0, TIGHT, reference_log)
+        assert res == reference_open(np.cos, 0.0, 1.0, TIGHT, reference_log, steps)
         assert _same_panels(log, reference_log)
         levels = res.lower.levels + res.upper.levels
         assert res.lower.levels > 30 and res.upper.levels > 30
         # Both ladders share the first call.  Then adaptive_quadrature's on the
         # central interval: its panel and two generations below it, and each
-        # later call two generations below one panel.
+        # later call two generations below each panel it must split.
         assert f.sizes[:2] == [15 * levels, 15 * 7]
-        assert f.sizes[2:] == [90] * (len(f.sizes) - 2)
-        bisections = (len(reference_log) - levels - 1) // 2
-        assert len(f.sizes) - 2 <= _max_later_calls(bisections)
+        central = [(quadrature.DIVERGENCE_WINDOW, 1.0 - quadrature.DIVERGENCE_WINDOW)]
+        assert f.sizes[2:] == _later_calls(central, steps)
+        assert len(f.sizes[2:]) <= len(_unbatched_calls(central, steps))
 
     def test_divergent_ladder_calls_only_the_ladders(self, monkeypatch):
         # The integrand is not finite at the centre, which no ladder panel sees.
@@ -335,25 +410,27 @@ class TestBatchedPanels:
         assert res.lower.levels == res.upper.levels == 0
         assert 0 not in f.sizes
 
-    def test_adaptive_one_call_per_bisection(self, monkeypatch):
+    def test_adaptive_one_call_per_refinement_round(self, monkeypatch):
         f = lambda x: 1e-3 / (x**2 + 1e-6)
         batched = _Counting(f)
-        log, reference_log = _recording(monkeypatch), {}
+        log, reference_log, steps = _recording(monkeypatch), {}, []
         result = adaptive_quadrature(batched, -1.0, 1.0, TIGHT)
-        assert result == reference_adaptive(f, -1.0, 1.0, TIGHT, reference_log)
+        assert result == reference_adaptive(f, -1.0, 1.0, TIGHT, reference_log, steps)
         assert _same_panels(log, reference_log)
-        bisections = (len(reference_log) - 1) // 2
-        assert bisections > 10
-        assert batched.sizes[0] == 15 * 7 and set(batched.sizes[1:]) == {90}
-        assert len(batched.sizes) - 1 <= _max_later_calls(bisections)
+        assert len(steps) > 10
+        # The peak's panels pass the tolerance one by one at first, and then
+        # several at once: later calls cover four panels' generations.
+        later = _later_calls([(-1.0, 1.0)], steps)
+        assert batched.sizes == [15 * 7] + later and max(later) == 4 * 90
+        assert len(later) < len(_unbatched_calls([(-1.0, 1.0)], steps))
 
     @pytest.mark.parametrize("f", [lambda x: x**-0.5, np.log, lambda x: 1.0 / x, np.cos],
                              ids=["x^-0.5", "log", "1/x", "cos"])
     def test_bit_identical_to_panel_loop(self, f, monkeypatch):
         counted = _Counting(f)
-        log, reference_log = _recording(monkeypatch), {}
+        log, reference_log, steps = _recording(monkeypatch), {}, []
         result = integrate_open(counted, 0.0, 1.0, TIGHT)
-        reference = reference_open(f, 0.0, 1.0, TIGHT, reference_log)
+        reference = reference_open(f, 0.0, 1.0, TIGHT, reference_log, steps)
         # Ladder sums and errors, every central panel, and the fitted exponents.
         assert _same_panels(log, reference_log)
         assert result == reference
@@ -362,8 +439,10 @@ class TestBatchedPanels:
         levels = result.lower.levels + result.upper.levels
         central = [] if result.status == "divergent" else [15 * 7]
         assert counted.sizes[:2] == [15 * levels] + central
-        bisections = (len(reference_log) - levels - 1) // 2
-        assert len(counted.sizes) - 2 <= _max_later_calls(bisections)
+        window = quadrature.DIVERGENCE_WINDOW
+        inner = [(window, 1.0 - window)]
+        assert counted.sizes[2:] == _later_calls(inner, steps)
+        assert len(counted.sizes[2:]) <= len(_unbatched_calls(inner, steps))
 
     def test_bad_value_in_an_unused_lookahead_panel_raises_nothing(self):
         # 7 x**6 is exact on one panel, so no bisection uses the panels below
@@ -411,15 +490,18 @@ class TestRatio:
 
     def test_bit_identical_to_panel_loop(self, monkeypatch):
         counted = _Counting(_lorentz_rows)
-        log, reference_log = _recording(monkeypatch), {}
-        result = ratio_quadrature(counted, (-1.0, 0.25, 1.0), TIGHT)
-        assert result == reference_ratio(_lorentz_rows, (-1.0, 0.25, 1.0), TIGHT, reference_log)
+        log, reference_log, steps = _recording(monkeypatch), {}, []
+        breakpoints = (-1.0, 0.25, 1.0)
+        result = ratio_quadrature(counted, breakpoints, TIGHT)
+        assert result == reference_ratio(_lorentz_rows, breakpoints, TIGHT, reference_log, steps)
         assert _same_panels(log, reference_log)
-        # Both starting panels and two generations below each share the first call.
-        assert counted.sizes[0] == 15 * 14 and set(counted.sizes[1:]) == {90}
-        bisections = (len(reference_log) - 2) // 2
-        assert bisections > 10
-        assert len(counted.sizes) - 1 <= _max_later_calls(bisections)
+        assert len(steps) > 10
+        # Both starting panels and two generations below each share the first
+        # call; each later call covers every panel that must be split.
+        intervals = list(zip(breakpoints[:-1], breakpoints[1:]))
+        later = _later_calls(intervals, steps)
+        assert counted.sizes == [15 * 14] + later and max(later) == 4 * 90
+        assert len(later) < len(_unbatched_calls(intervals, steps))
 
     def test_abs_tol_bounds_the_ratio_at_any_scale(self):
         # A ratio of 4.4e-10 to abs_tol = 1e-12, whatever the scale of both

@@ -18,7 +18,11 @@ request with its own ``prepare``, outside the timed span, so a
 fresh object.  Per side the tool prints the mean, the median and the
 nearest-rank 99th percentile (``p99_ms``, as ``perfbench/run.py`` ranks its
 tail) of the wall time per operation, and for ``tube_sweep``, from a second,
-untimed pass, the integrand calls and nodes per operation.
+untimed pass, the integrand calls and nodes per operation.  For
+``tube_sweep`` it prints on a second line the median and the 99th
+percentile of the wall time per request kind (``latency_ms_by_kind``:
+bending, epsilon, complex_radial, torus), which shows which requests a
+change moved.
 ``cli_sessions`` runs one fresh ``python -m folbend`` process of the side's
 checkout per request.  Per side it prints the median wall
 time and the mean CPU time of the child process (user plus system, from
@@ -175,6 +179,13 @@ def compare(workload: str, sides: tuple, seed: int, n: int) -> dict:
             side["p99_ms"] = 1e3 * _nearest_rank(run["wall"], 0.99)
         if workload == "tube_sweep":
             side.update(_counts(wl, requests))
+            by_kind = collections.defaultdict(list)
+            for req, wall in zip(requests, run["wall"]):
+                by_kind[req.kind].append(wall)
+            side["latency_ms_by_kind"] = {
+                kind: {"p50_ms": 1e3 * statistics.median(walls),
+                       "p99_ms": 1e3 * _nearest_rank(walls, 0.99)}
+                for kind, walls in sorted(by_kind.items())}
         result[name] = {**side, "causes": dict(run["causes"])}
     for key in result["base"]:
         if key.endswith("_ms") or key.endswith("_op"):
@@ -185,7 +196,7 @@ def compare(workload: str, sides: tuple, seed: int, n: int) -> dict:
 def _line(res: dict) -> str:
     b, c = res["base"], res["change"]
     parts = [f"{key} {b[key]:.4g} -> {c[key]:.4g} ({res[f'{key}_change_over_base']:.3f}x)"
-             for key in b if key not in ("causes", "cpu_ms_by_command")]
+             for key in b if key not in ("causes", "cpu_ms_by_command", "latency_ms_by_kind")]
     line = (f"{res['workload']} seed {res['seed']}: " + ", ".join(parts)
             + f", identical answers: {res['identical_answers']}, causes "
             f"{b['causes'] or 'none'} -> {c['causes'] or 'none'}")
@@ -193,6 +204,12 @@ def _line(res: dict) -> str:
         line += "\n  median child cpu_ms by command: " + ", ".join(
             f"{command} {ms:.4g} -> {c['cpu_ms_by_command'][command]:.4g}"
             for command, ms in b["cpu_ms_by_command"].items())
+    if "latency_ms_by_kind" in b:
+        line += "\n  p50 / p99 ms by kind: " + ", ".join(
+            f"{kind} {ms['p50_ms']:.4g} / {ms['p99_ms']:.4g} -> "
+            f"{c['latency_ms_by_kind'][kind]['p50_ms']:.4g} / "
+            f"{c['latency_ms_by_kind'][kind]['p99_ms']:.4g}"
+            for kind, ms in b["latency_ms_by_kind"].items())
     return line
 
 
